@@ -46,10 +46,37 @@ def load(path: str | Path) -> tuple[TrainState, dict]:
     data = Path(path).read_bytes()
     if data[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"not a checkpoint file: {path}")
+    try:
+        fields, blocks = _read(data)
+    except struct.error as exc:
+        raise CheckpointError(f"truncated checkpoint {path}: {exc}") from None
+    version, vocab, d, h, p_max, dl_max, seed, step = fields
+    missing = [
+        k for k in NatModel.PARAM_NAMES + LengthPredictor.PARAM_NAMES
+        if k not in blocks
+    ]
+    if missing:
+        raise CheckpointError(
+            f"incomplete checkpoint {path}: no block {', '.join(missing)}"
+        )
+    dims = ModelDims(vocab=vocab, d=d, h=h, p_max=p_max, dl_max=dl_max)
+    model_params = {k: blocks[k] for k in NatModel.PARAM_NAMES}
+    lp_params = {k: blocks[k] for k in LengthPredictor.PARAM_NAMES}
+    state = TrainState(
+        model=NatModel(dims, model_params),
+        lp=LengthPredictor(dl_max, lp_params),
+        step=step,
+    )
+    header = {"version": version, "seed": seed, "step": step, "dims": dims}
+    return state, header
+
+
+def _read(data: bytes) -> tuple[tuple, dict[str, np.ndarray]]:
+    """Header fields and named blocks; struct.error if data ends early."""
     off = len(MAGIC)
-    version, vocab, d, h, p_max, dl_max, seed, step = _HEADER.unpack_from(data, off)
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+    fields = _HEADER.unpack_from(data, off)
+    if fields[0] != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {fields[0]}")
     off += _HEADER.size
     (count,) = struct.unpack_from("<I", data, off)
     off += 4
@@ -64,16 +91,9 @@ def load(path: str | Path) -> tuple[TrainState, dict]:
         shape = struct.unpack_from(f"<{ndim}i", data, off)
         off += 4 * ndim
         size = int(np.prod(shape)) * 8
+        if off + size > len(data):
+            raise struct.error(f"block {name!r} runs past the end of the data")
         arr = np.frombuffer(data[off : off + size], dtype="<f8").reshape(shape)
         blocks[name] = arr.copy()
         off += size
-    dims = ModelDims(vocab=vocab, d=d, h=h, p_max=p_max, dl_max=dl_max)
-    model_params = {k: blocks[k] for k in NatModel.PARAM_NAMES}
-    lp_params = {k: blocks[k] for k in LengthPredictor.PARAM_NAMES}
-    state = TrainState(
-        model=NatModel(dims, model_params),
-        lp=LengthPredictor(dl_max, lp_params),
-        step=step,
-    )
-    header = {"version": version, "seed": seed, "step": step, "dims": dims}
-    return state, header
+    return fields, blocks

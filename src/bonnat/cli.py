@@ -296,6 +296,7 @@ def cmd_train(args) -> int:
     _result(
         "train", status="ok", checkpoint=ckpt_path, steps=state.step,
         ce_loss=f"{last['ce_loss']:.6f}", bon_loss=f"{last['bon_loss']:.6f}",
+        short_sentence_skips=state.short_sentence_skips,
     )
     return EXIT_OK
 

@@ -126,7 +126,9 @@ def _sentence_loss_table(
         ce = cross_entropy(probs, pair.target)
         table["ce"].append(ce.value / len(pair.target))
         for n in n_values:
-            table[f"bon{n}"].append(bon_loss(probs, pair.target, n).value)
+            table[f"bon{n}"].append(
+                bon_loss(probs, pair.target, n, grad=False).value
+            )
     return table
 
 

@@ -20,7 +20,7 @@ LOG_CLAMP = 1e-12
 @dataclass
 class LossResult:
     value: float
-    grad: np.ndarray
+    grad: np.ndarray | None  # None when only the value was asked for
     match: float = 0.0  # sum_g min(expected, reference) mass
     degenerate: bool = False
 
@@ -52,42 +52,47 @@ def cross_entropy(table, ref: Sequence[int]) -> LossResult:
     return LossResult(value=value, grad=grad)
 
 
-def bon_l1(table, ref: Sequence[int], n: int) -> LossResult:
+def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
     """L1 distance between expected and reference bags: 2(T-n+1-match).
 
     The subgradient at min ties flows through the expected count, i.e.
-    an n-gram contributes gradient whenever expected <= reference.
+    an n-gram contributes gradient whenever expected <= reference. With
+    grad=False only the value and match are computed (grad is None).
     """
     p = as_matrix(table)
     T, V = p.shape
     if T < n or len(ref) < n:
         # short sentences are defined as zero loss, flagged for callers
-        return LossResult(value=0.0, grad=np.zeros((T, V)), degenerate=True)
+        zero = np.zeros((T, V)) if grad else None
+        return LossResult(value=0.0, grad=zero, degenerate=True)
     ref_bag = count_ngrams(ref, n)
     model_bag = expected_bag(p, ref_bag)
-    match = 0.0
-    grad = np.zeros((T, V))
-    for g, ref_count in ref_bag.items():
-        expected = model_bag.get(g, 0.0)
-        match += min(expected, ref_count)
-        if expected <= ref_count:
-            grad -= 2.0 * expected_count_gradient(p, g)
+    expected = np.fromiter(model_bag.values(), float, len(model_bag))
+    ref_counts = np.fromiter(ref_bag.values(), float, len(ref_bag))
+    # added in support order, as a running sum would
+    match = float(np.minimum(expected, ref_counts).cumsum()[-1])
     # match <= T-n+1 holds exactly; clamp the float rounding residue so
     # the loss (and its [0,1] normalization) cannot go negative
     value = max(0.0, 2.0 * (T - n + 1 - match))
-    return LossResult(value=value, grad=grad, match=match)
+    if not grad:
+        return LossResult(value=value, grad=None, match=match)
+    active = np.array(list(ref_bag), dtype=np.intp)[expected <= ref_counts]
+    # doubling is exact, so this equals subtracting 2x each gram's
+    # gradient in turn from zero
+    dp = 0.0 - 2.0 * expected_count_gradient(p, active)
+    return LossResult(value=value, grad=dp, match=match)
 
 
-def bon_loss(table, ref: Sequence[int], n: int) -> LossResult:
+def bon_loss(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
     """BoN-L1 normalized to [0, 1] by the constant 2(T-n+1)."""
-    raw = bon_l1(table, ref, n)
+    raw = bon_l1(table, ref, n, grad)
     if raw.degenerate:
         return raw
     T = as_matrix(table).shape[0]
     scale = 2.0 * (T - n + 1)
     return LossResult(
         value=raw.value / scale,
-        grad=raw.grad / scale,
+        grad=None if raw.grad is None else raw.grad / scale,
         match=raw.match,
     )
 

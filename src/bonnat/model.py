@@ -247,12 +247,14 @@ class TrainState:
 
 
 def _sentence_losses(
-    model: NatModel, pair: ParallelPair, cfg: JointConfig
+    model: NatModel, pair: ParallelPair, cfg: JointConfig, phase: str
 ) -> tuple[LossResult, LossResult, dict]:
+    """CE and BoN losses of one sentence; the CE phase only logs the BoN
+    value, so its gradient is not computed there."""
     T = len(pair.target)
     probs, cache = model._forward_cache(pair.source, T)
     ce = cross_entropy(probs, pair.target)
-    bon = bon_loss(probs, pair.target, cfg.n)
+    bon = bon_loss(probs, pair.target, cfg.n, grad=phase != "ce")
     return ce, bon, cache
 
 
@@ -296,7 +298,9 @@ def train(
             ce_sum = bon_sum = joint_sum = 0.0
             for sent_id in idx:
                 pair = corpus[int(sent_id)]
-                ce, bon, cache = _sentence_losses(state.model, pair, joint_cfg)
+                ce, bon, cache = _sentence_losses(
+                    state.model, pair, joint_cfg, phase
+                )
                 if bon.degenerate:
                     state.short_sentence_skips += 1
                 if phase == "ce":

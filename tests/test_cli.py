@@ -1,8 +1,10 @@
 import csv
 import hashlib
+import re
 
 import pytest
 
+from bonnat import checkpoint as ckpt
 from bonnat.cli import main
 
 TASK = ["--task", "copy", "--vocab", "12", "--min-len", "2", "--max-len", "6",
@@ -43,7 +45,16 @@ def train_once(tmp_path, capsys, name, extra=()):
 
 
 def test_train_writes_outputs(tmp_path, capsys):
-    out_dir = train_once(tmp_path, capsys, "run")
+    out_dir = tmp_path / "run"
+    # targets of length 2 are shorter than n = 3: zero BoN loss, counted
+    code, out, err = run(
+        ["train", *TASK, "--steps", "40", "--batch", "8", "--seed", "7",
+         "--n", "3", "--out", str(out_dir)],
+        capsys,
+    )
+    assert code == 0, err
+    skips = re.search(r" short_sentence_skips=(\d+)", out)
+    assert skips is not None and 0 < int(skips.group(1)) < 40 * 8
     assert (out_dir / "checkpoint.bin").exists()
     assert (out_dir / "config.snapshot").exists()
     with (out_dir / "train_log.csv").open() as fh:
@@ -104,6 +115,33 @@ def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "missing checkpoint" in err
+
+
+def truncated(run_dir, path):
+    path.write_bytes((run_dir / "checkpoint.bin").read_bytes()[:20])
+
+
+def missing_a_block(run_dir, path):
+    state, header = ckpt.load(run_dir / "checkpoint.bin")
+    del state.lp.params["lp_b"]
+    ckpt.save(path, state, seed=header["seed"])
+
+
+@pytest.mark.parametrize(
+    "damage,message",
+    [(truncated, "truncated checkpoint"), (missing_a_block, "incomplete checkpoint")],
+    ids=["truncated", "missing-block"],
+)
+def test_eval_broken_checkpoint_exits_2(tmp_path, capsys, damage, message):
+    broken = tmp_path / "broken.bin"
+    damage(train_once(tmp_path, capsys, "run"), broken)
+    code, out, err = run(
+        ["eval", *TASK, "--ckpt", str(broken), "--out", str(tmp_path / "ev")],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_eval_rerun_bit_identical(tmp_path, capsys):
