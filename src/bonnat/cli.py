@@ -30,12 +30,7 @@ from .gradcheck import (
     worst_rel_error,
 )
 from .loss import JointConfig, bon_loss, cross_entropy, joint_loss
-from .model import (
-    ModelDims,
-    TrainConfig,
-    TrainingDiverged,
-    train,
-)
+from .model import SCHEDULES, ModelDims, TrainConfig, TrainingDiverged, train
 from .ngram import count_ngrams
 from .probmodel import ORACLE_GUARD, expected_bag, expected_ngram_count
 
@@ -52,7 +47,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, default=Path("."))
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _add_task_flags(p: argparse.ArgumentParser) -> None:
@@ -63,6 +57,10 @@ def _add_task_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pairs", type=int, default=1000)
     p.add_argument("--data-seed", type=int, default=None)
     p.add_argument("--noise", type=float, default=0.0)
+
+
+def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
+    _add_task_flags(p)
     p.add_argument("--src", type=Path, default=None)
     p.add_argument("--tgt", type=Path, default=None)
     p.add_argument("--vocab-file", type=Path, default=None)
@@ -75,7 +73,8 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dl-max", type=int, default=8)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparser for each command name."""
     parser = argparse.ArgumentParser(prog="bonnat")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -85,10 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     _add_common(p)
-    _add_task_flags(p)
+    _add_corpus_flags(p)
     _add_model_flags(p)
-    p.add_argument("--schedule", choices=("ce", "bon-ft", "bon-joint", "bon-joint-ft"),
-                   default="ce")
+    p.add_argument("--schedule", choices=SCHEDULES, default="ce")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--steps", type=int, default=1000)
@@ -99,13 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="BLEU and removed-token reports")
     _add_common(p)
-    _add_task_flags(p)
+    _add_corpus_flags(p)
     p.add_argument("--ckpt", type=Path, required=True)
     p.add_argument("--buckets", type=str, default="4,8,12")
 
     p = sub.add_parser("correlate", help="loss/BLEU correlation study")
     _add_common(p)
-    _add_task_flags(p)
+    _add_corpus_flags(p)
     p.add_argument("--ckpt", type=Path, required=True)
     p.add_argument("--subsets", type=int, default=30)
     p.add_argument("--subset-size", type=int, default=25)
@@ -126,10 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", type=int, default=4)
     p.add_argument("--len", type=int, default=4, dest="length")
     p.add_argument("--trials", type=int, default=20)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _apply_config(parser, commands, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config is None:
         return args
@@ -144,47 +142,25 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
                 defaults[key.replace("-", "_")] = val
     if defaults:
         # re-parse so explicit flags still win over file values
-        sub = next(
-            a for a in parser._subparsers._group_actions
-        ).choices[args.command]
-        known = {a.dest for a in sub._actions}
-        bad = set(defaults) - known
+        sub = commands[args.command]
+        actions = {a.dest: a for a in sub._actions}
+        bad = set(defaults) - set(actions)
         if bad:
             raise UsageError(f"unknown config keys: {sorted(bad)}")
         typed = {}
         for dest, val in defaults.items():
-            action = next(a for a in sub._actions if a.dest == dest)
-            if isinstance(action, argparse._StoreTrueAction):
+            action = actions[dest]
+            if action.nargs == 0:  # a switch such as --split-length
                 typed[dest] = val.lower() in ("1", "true", "yes")
-            elif action.type is not None:
-                typed[dest] = action.type(val)
             else:
-                typed[dest] = val
+                typed[dest] = val if action.type is None else action.type(val)
         sub.set_defaults(**typed)
         args = parser.parse_args(argv)
     return args
 
 
-def _load_corpus(args) -> tuple[list[corpus_mod.ParallelPair], int]:
-    """Corpus from task flags or from src/tgt/vocab files."""
-    if args.src is not None or args.tgt is not None:
-        if args.src is None or args.tgt is None or args.vocab_file is None:
-            raise UsageError("file corpus needs --src, --tgt and --vocab-file")
-        vocab = corpus_mod.Vocabulary.load(args.vocab_file)
-        src_lines = corpus_mod.read_corpus(args.src)
-        tgt_lines = corpus_mod.read_corpus(args.tgt)
-        if len(src_lines) != len(tgt_lines):
-            raise UsageError("source and target files differ in length")
-        pairs = [
-            corpus_mod.ParallelPair(
-                corpus_mod.encode(s, vocab), corpus_mod.encode(t, vocab)
-            )
-            for s, t in zip(src_lines, tgt_lines)
-        ]
-        return pairs, vocab.size
-    if args.task is None:
-        raise UsageError("need either --task or --src/--tgt/--vocab-file")
-    spec = corpus_mod.SyntheticTaskSpec(
+def _task_spec(args) -> corpus_mod.SyntheticTaskSpec:
+    return corpus_mod.SyntheticTaskSpec(
         kind=args.task,
         vocab_size=args.vocab,
         min_len=args.min_len,
@@ -193,7 +169,38 @@ def _load_corpus(args) -> tuple[list[corpus_mod.ParallelPair], int]:
         seed=args.seed if args.data_seed is None else args.data_seed,
         target_noise=args.noise,
     )
+
+
+def _load_corpus(args) -> tuple[list[corpus_mod.ParallelPair], int]:
+    """Corpus from task flags or from src/tgt/vocab files."""
+    if args.src is not None or args.tgt is not None:
+        if args.src is None or args.tgt is None or args.vocab_file is None:
+            raise UsageError("file corpus needs --src, --tgt and --vocab-file")
+        vocab = corpus_mod.Vocabulary.load(args.vocab_file)
+        pairs = [
+            corpus_mod.ParallelPair(
+                corpus_mod.encode(s, vocab), corpus_mod.encode(t, vocab)
+            )
+            for s, t in corpus_mod.read_parallel(args.src, args.tgt)
+        ]
+        return pairs, vocab.size
+    if args.task is None:
+        raise UsageError("need either --task or --src/--tgt/--vocab-file")
+    spec = _task_spec(args)
     return corpus_mod.generate_task(spec), spec.vocab_size
+
+
+def _load_checkpoint(path: Path, vocab_size: int):
+    """Checkpoint state and header; the corpus ids must fit its vocabulary."""
+    if not path.exists():
+        raise UsageError(f"missing checkpoint: {path}")
+    state, header = ckpt.load(path)
+    if vocab_size > state.model.dims.vocab:
+        raise UsageError(
+            f"corpus vocabulary of {vocab_size} exceeds the vocabulary "
+            f"of {state.model.dims.vocab} in {path}"
+        )
+    return state, header
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -232,15 +239,11 @@ def _result(command: str, **fields) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    pairs, _ = _load_corpus(args)
     if args.task is None:
         raise UsageError("gen-data needs --task")
-    spec_vocab = corpus_mod.task_vocabulary(
-        corpus_mod.SyntheticTaskSpec(
-            args.task, args.vocab, args.min_len, args.max_len, args.pairs,
-            args.seed, args.noise,
-        )
-    )
+    spec = _task_spec(args)
+    pairs = corpus_mod.generate_task(spec)
+    spec_vocab = corpus_mod.task_vocabulary(spec)
     args.out.mkdir(parents=True, exist_ok=True)
     src_lines = [corpus_mod.decode_tokens(p.source, spec_vocab) for p in pairs]
     tgt_lines = [corpus_mod.decode_tokens(p.target, spec_vocab) for p in pairs]
@@ -263,11 +266,9 @@ def cmd_train(args) -> int:
         batch_size=args.batch,
         seed=args.seed,
     )
-    if args.schedule == "bon-ft" and args.init is None:
-        raise UsageError("fine-tune requires a source checkpoint")
     init_state = None
     if args.init is not None:
-        init_state, _ = ckpt.load(args.init)
+        init_state, _ = _load_checkpoint(args.init, vocab_size)
         dims = init_state.model.dims
     else:
         dims = ModelDims(
@@ -302,10 +303,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not args.ckpt.exists():
-        raise UsageError(f"missing checkpoint: {args.ckpt}")
-    state, header = ckpt.load(args.ckpt)
-    pairs, _ = _load_corpus(args)
+    pairs, vocab_size = _load_corpus(args)
+    state, header = _load_checkpoint(args.ckpt, vocab_size)
     outputs, removed = eval_mod._decode_corpus(state.model, state.lp, pairs)
     score = eval_mod.bleu(outputs, [p.target for p in pairs])
     removed_rows = eval_mod.removed_token_report(state.model, state.lp, pairs)
@@ -337,24 +336,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    if not args.ckpt.exists():
-        raise UsageError(f"missing checkpoint: {args.ckpt}")
-    state, _ = ckpt.load(args.ckpt)
-    pairs, _ = _load_corpus(args)
+    pairs, vocab_size = _load_corpus(args)
+    state, _ = _load_checkpoint(args.ckpt, vocab_size)
     if args.subsets * args.subset_size > len(pairs):
         raise UsageError(
             f"corpus of {len(pairs)} too small for "
             f"{args.subsets}x{args.subset_size}"
         )
-    scopes = [("all", pairs)]
+    scopes = [("all", pairs, args.subsets)]
     if args.split_length:
         short, long_ = eval_mod.split_short_long(pairs)
-        half_subsets = args.subsets // 2
-        scopes = [("short", short, half_subsets), ("long", long_, half_subsets)]
+        half = args.subsets // 2
+        scopes = [("short", short, half), ("long", long_, half)]
     rows = []
-    for scope in scopes:
-        name, part = scope[0], scope[1]
-        n_subsets = scope[2] if len(scope) > 2 else args.subsets
+    for name, part, n_subsets in scopes:
         reports = eval_mod.correlation_study(
             state.model, state.lp, part, n_subsets, args.subset_size, args.seed
         )
@@ -470,9 +465,10 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _apply_config(parser, list(sys.argv[1:] if argv is None else argv))
+        args = _apply_config(parser, commands, argv)
         return COMMANDS[args.command](args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

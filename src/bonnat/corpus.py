@@ -1,6 +1,7 @@
 """Vocabulary handling, corpus file I/O and synthetic parallel tasks."""
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,13 +78,26 @@ def decode_tokens(ids: Sequence[int], vocab: Vocabulary) -> list[str]:
 
 
 def read_corpus(path: str | Path) -> list[list[str]]:
-    """One sentence per line, tokens separated by single spaces."""
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            out.append(line.split(" "))
-    return out
+    """One sentence per line, tokens separated by single spaces; a blank
+    line is an empty sentence, so list index = line number - 1."""
+    return [
+        line.strip().split(" ") if line.strip() else []
+        for line in Path(path).read_text(encoding="utf-8").splitlines()
+    ]
+
+
+def read_parallel(src: str | Path, tgt: str | Path) -> list[tuple[list[str], ...]]:
+    """Source and target sentences paired by line number. Lines blank on
+    both sides are skipped; a line blank on one side only is an error."""
+    lines = itertools.zip_longest(read_corpus(src), read_corpus(tgt), fillvalue=[])
+    pairs = list(lines)
+    for i, (s, t) in enumerate(pairs, start=1):
+        if bool(s) != bool(t):
+            raise CorpusError(
+                f"line {i} of {tgt if s else src} is blank or missing "
+                "but is not in the other file"
+            )
+    return [(s, t) for s, t in pairs if s]
 
 
 def write_corpus(lines: Iterable[Sequence[str]], path: str | Path) -> None:

@@ -97,17 +97,26 @@ def bon_loss(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult
     )
 
 
+def mix(ce_weight: float, ce, bon):
+    """ce_weight * ce + (1 - ce_weight) * bon, for loss values or gradients.
+
+    At weight 1 (0) the CE (BoN) term is returned as it is, so the other
+    term may be None there and no signed zero or rounding is introduced.
+    """
+    if ce_weight == 1.0:
+        return ce
+    if ce_weight == 0.0:
+        return bon
+    return ce_weight * ce + (1.0 - ce_weight) * bon
+
+
 def joint_loss(table, ref: Sequence[int], cfg: JointConfig) -> LossResult:
     """alpha * cross-entropy + (1 - alpha) * BoN loss."""
     ce = cross_entropy(table, ref)
-    if cfg.alpha == 1.0:
-        return ce
-    bon = bon_loss(table, ref, cfg.n)
-    if cfg.alpha == 0.0:
-        return bon
+    bon = bon_loss(table, ref, cfg.n, grad=cfg.alpha < 1.0)
     return LossResult(
-        value=cfg.alpha * ce.value + (1.0 - cfg.alpha) * bon.value,
-        grad=cfg.alpha * ce.grad + (1.0 - cfg.alpha) * bon.grad,
+        value=mix(cfg.alpha, ce.value, bon.value),
+        grad=mix(cfg.alpha, ce.grad, bon.grad),
         match=bon.match,
         degenerate=bon.degenerate,
     )

@@ -1,6 +1,6 @@
 """Minimal trainable NAT-style model: position-wise independent outputs
 over uniform-copied source embeddings, a length-difference predictor,
-and an Adam trainer with CE / fine-tune / joint schedules.
+and an Adam trainer whose schedules are phases of one CE/BoN objective.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import PAD, ParallelPair
-from .loss import JointConfig, LossResult, bon_loss, cross_entropy, joint_loss
+from .loss import JointConfig, bon_loss, cross_entropy, mix
 from .probmodel import ProbTable
 
 SCHEDULES = ("ce", "bon-ft", "bon-joint", "bon-joint-ft")
@@ -221,9 +221,6 @@ class TrainConfig:
     alpha: float = 0.1
     n: int = 2
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     steps: int = 1000
     ft_steps: int = 500
     batch_size: int = 16
@@ -236,6 +233,17 @@ class TrainConfig:
             raise ValueError("step budget and batch size must be positive")
         JointConfig(self.alpha, self.n)  # bounds check
 
+    def phases(self) -> list[tuple[float, int]]:
+        """(CE weight w, steps) of each phase; every phase trains the
+        one objective w * CE + (1 - w) * BoN."""
+        joint = (self.alpha, self.steps)
+        return {
+            "ce": [(1.0, self.steps)],
+            "bon-ft": [(0.0, self.steps)],
+            "bon-joint": [joint],
+            "bon-joint-ft": [joint, (0.0, self.ft_steps)],
+        }[self.schedule]
+
 
 @dataclass
 class TrainState:
@@ -244,18 +252,6 @@ class TrainState:
     step: int = 0
     short_sentence_skips: int = 0
     log: list[dict] = field(default_factory=list)
-
-
-def _sentence_losses(
-    model: NatModel, pair: ParallelPair, cfg: JointConfig, phase: str
-) -> tuple[LossResult, LossResult, dict]:
-    """CE and BoN losses of one sentence; the CE phase only logs the BoN
-    value, so its gradient is not computed there."""
-    T = len(pair.target)
-    probs, cache = model._forward_cache(pair.source, T)
-    ce = cross_entropy(probs, pair.target)
-    bon = bon_loss(probs, pair.target, cfg.n, grad=phase != "ce")
-    return ce, bon, cache
 
 
 def train(
@@ -283,14 +279,9 @@ def train(
         state = init
     params = dict(state.model.params)
     params.update(state.lp.params)
-    opt = Adam(params, config.lr, config.beta1, config.beta2, config.adam_eps)
+    opt = Adam(params, config.lr)
 
-    phases = [(config.schedule, config.steps)]
-    if config.schedule == "bon-joint-ft":
-        phases = [("bon-joint", config.steps), ("bon-ft", config.ft_steps)]
-
-    joint_cfg = JointConfig(config.alpha, config.n)
-    for phase, budget in phases:
+    for ce_weight, budget in config.phases():
         for _ in range(budget):
             t0 = time.perf_counter()
             idx = rng.integers(0, len(corpus), size=config.batch_size)
@@ -298,29 +289,20 @@ def train(
             ce_sum = bon_sum = joint_sum = 0.0
             for sent_id in idx:
                 pair = corpus[int(sent_id)]
-                ce, bon, cache = _sentence_losses(
-                    state.model, pair, joint_cfg, phase
+                probs, cache = state.model._forward_cache(
+                    pair.source, len(pair.target)
                 )
+                ce = cross_entropy(probs, pair.target)
+                # a phase of CE weight 1 only logs the BoN value
+                bon = bon_loss(probs, pair.target, config.n, grad=ce_weight < 1.0)
                 if bon.degenerate:
                     state.short_sentence_skips += 1
-                if phase == "ce":
-                    dprobs = ce.grad
-                elif phase == "bon-ft":
-                    dprobs = bon.grad
-                else:
-                    dprobs = (
-                        joint_cfg.alpha * ce.grad
-                        + (1 - joint_cfg.alpha) * bon.grad
-                    )
-                joint_val = (
-                    joint_cfg.alpha * ce.value
-                    + (1 - joint_cfg.alpha) * bon.value
-                )
                 if not np.isfinite(ce.value) or not np.isfinite(bon.value):
                     raise TrainingDiverged(state.step, int(sent_id))
                 ce_sum += ce.value
                 bon_sum += bon.value
-                joint_sum += joint_val
+                joint_sum += mix(config.alpha, ce.value, bon.value)
+                dprobs = mix(ce_weight, ce.grad, bon.grad)
                 for k, g in state.model.backward(cache, dprobs).items():
                     grads[k] += g
                 enc_sum = state.model.encoder_states(pair.source).sum(axis=0)

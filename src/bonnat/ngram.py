@@ -28,10 +28,3 @@ def count_ngrams(sentence: Sequence[int], n: int) -> NgramBag:
 def bag_l1_norm(bag: Mapping[Ngram, float]) -> float:
     return float(sum(bag.values()))
 
-
-def dump_bag(bag: Mapping[Ngram, float]) -> str:
-    """Debug dump: one "g_1 ... g_n<TAB>count" line, sorted by ids."""
-    lines = []
-    for g in sorted(bag):
-        lines.append(" ".join(str(i) for i in g) + "\t" + repr(bag[g]))
-    return "\n".join(lines)

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from bonnat import checkpoint as ckpt
+from bonnat import corpus
 from bonnat.cli import main
 
 TASK = ["--task", "copy", "--vocab", "12", "--min-len", "2", "--max-len", "6",
@@ -260,3 +261,88 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     code, _, err = run(["train", "--config", str(cfg)], capsys)
     assert code == 2
     assert "unknown config keys" in err
+
+
+REQUIRED = {"eval": ["--ckpt", "x.bin"], "correlate": ["--ckpt", "x.bin"]}
+
+
+@pytest.mark.parametrize(
+    "command", ["gen-data", "train", "eval", "correlate", "oracle-check", "gradcheck"]
+)
+def test_threads_flag_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED.get(command, []), "--threads", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+def test_gen_data_rejects_file_flags_and_writes_the_task(tmp_path, capsys):
+    (tmp_path / "s.txt").write_text("a b\n")
+    (tmp_path / "v.txt").write_text("<pad>\n<unk>\na\nb\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--task", "copy", "--src", str(tmp_path / "s.txt"),
+              "--tgt", str(tmp_path / "s.txt"),
+              "--vocab-file", str(tmp_path / "v.txt"), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "src.txt").exists()
+    out = tmp_path / "data"
+    assert run(["gen-data", *TASK, "--seed", "5", "--out", str(out)], capsys)[0] == 0
+    # the written files read back as the generated task
+    vocab = corpus.Vocabulary.load(out / "vocab.txt")
+    read = [
+        (corpus.encode(s, vocab), corpus.encode(t, vocab))
+        for s, t in corpus.read_parallel(out / "src.txt", out / "tgt.txt")
+    ]
+    spec = corpus.SyntheticTaskSpec("copy", 12, 2, 6, 120, seed=5)
+    assert read == [tuple(p) for p in corpus.generate_task(spec)]
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "correlate"])
+def test_checkpoint_with_smaller_vocabulary_exits_2(command, tmp_path, capsys):
+    small = ["--task", "copy", "--vocab", "6", "--min-len", "2", "--max-len", "6",
+             "--pairs", "40"]
+    code, _, err = run(
+        ["train", *small, "--steps", "5", "--out", str(tmp_path / "v6")], capsys
+    )
+    assert code == 0, err
+    ckpt_flag = "--init" if command == "train" else "--ckpt"
+    code, out, err = run(
+        [command, *TASK, ckpt_flag, str(tmp_path / "v6" / "checkpoint.bin"),
+         "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: corpus vocabulary of 12") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def write_file_corpus(tmp_path, src, tgt):
+    (tmp_path / "src.txt").write_text(src)
+    (tmp_path / "tgt.txt").write_text(tgt)
+    (tmp_path / "vocab.txt").write_text("<pad>\n<unk>\na\nb\nc\n")
+    return ["--src", str(tmp_path / "src.txt"), "--tgt", str(tmp_path / "tgt.txt"),
+            "--vocab-file", str(tmp_path / "vocab.txt")]
+
+
+def test_file_corpus_pairs_lines_by_number(tmp_path, capsys):
+    # line 2 is blank on both sides and is skipped
+    files = write_file_corpus(tmp_path, "a b\n\nb c\nc a\n", "b a\n\nc b\na c\n")
+    code, out, err = run(
+        ["train", *files, "--steps", "3", "--batch", "2", "--out", str(tmp_path / "r")],
+        capsys,
+    )
+    assert code == 0, err
+    assert "steps=3" in out
+
+
+def test_file_corpus_blank_line_on_one_side_exits_2(tmp_path, capsys):
+    # same line count, blank lines at different positions
+    files = write_file_corpus(tmp_path, "a b\n\nb c\nc a\n", "b a\nc b\n\na c\n")
+    code, out, err = run(
+        ["train", *files, "--steps", "3", "--out", str(tmp_path / "r")], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line 2 of ") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -169,6 +171,30 @@ def test_joint_alpha_one_matches_ce_schedule():
     )
     for k in ce.model.params:
         assert np.array_equal(ce.model.params[k], joint.model.params[k])
+
+
+def test_joint_alpha_zero_matches_bon_ft_schedule():
+    corpus = small_corpus()
+    dims = small_dims()
+    base = train(TrainConfig(schedule="ce", steps=30, batch_size=4, seed=3), corpus, dims)
+    # training moves the initial state's arrays in place
+    ft = train(
+        TrainConfig(schedule="bon-ft", steps=30, batch_size=4, seed=9),
+        corpus,
+        dims,
+        init=copy.deepcopy(base),
+    )
+    joint = train(
+        TrainConfig(schedule="bon-joint", alpha=0.0, steps=30, batch_size=4, seed=9),
+        corpus,
+        dims,
+        init=copy.deepcopy(base),
+    )
+    for k in ft.model.params:
+        assert np.array_equal(ft.model.params[k], joint.model.params[k])
+    for k in ft.lp.params:
+        assert np.array_equal(ft.lp.params[k], joint.lp.params[k])
+    assert [r["bon_loss"] for r in ft.log] == [r["bon_loss"] for r in joint.log]
 
 
 def test_bon_ft_requires_checkpoint():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bonnat.ngram import bag_l1_norm, count_ngrams, dump_bag
+from bonnat.ngram import bag_l1_norm, count_ngrams
 
 sentences = st.lists(st.integers(min_value=0, max_value=6), max_size=15)
 
@@ -42,7 +42,3 @@ def test_unigrams_match_token_frequencies(sent):
     bag = count_ngrams(sent, 1)
     assert {g[0]: c for g, c in bag.items()} == dict(Counter(sent))
 
-
-def test_dump_format_sorted():
-    bag = count_ngrams((2, 3, 2, 3), 2)
-    assert dump_bag(bag) == "2 3\t2.0\n3 2\t1.0"
