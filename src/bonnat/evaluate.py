@@ -79,27 +79,19 @@ class UndefinedCorrelation(ValueError):
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need two equal-length series of size >= 2")
-    dx = _centered(np.asarray(xs, dtype=float))
-    dy = _centered(np.asarray(ys, dtype=float))
-    if dx is None or dy is None:
-        raise UndefinedCorrelation("a series has zero variance")
+    x = np.asarray(xs, dtype=float)
+    y = np.asarray(ys, dtype=float)
+    dx = x - x.mean()
+    dy = y - y.mean()
+    # a second pass removes the rounding error of the first mean, which
+    # outweighs the deviations when the values differ by a few ulps
+    dx -= dx.mean()
+    dy -= dy.mean()
     sx = math.sqrt(float(dx @ dx))
     sy = math.sqrt(float(dy @ dy))
-    return float(np.clip(float(dx @ dy) / (sx * sy), -1.0, 1.0))
-
-
-def _centered(v: np.ndarray) -> np.ndarray | None:
-    """Deviations from the mean, scaled to a largest magnitude of 1, or
-    None if the series is constant. The second centering pass removes the
-    rounding error of the first mean, which dominates when the values
-    differ by a few ulps; the scaling keeps tiny deviations from
-    underflowing in the sums of squares."""
-    d = v - v.mean()
-    d -= d.mean()
-    peak = float(np.abs(d).max())
-    if peak == 0.0:
-        return None
-    return d / peak
+    if sx == 0.0 or sy == 0.0:
+        raise UndefinedCorrelation("a series has zero variance")
+    return float(dx @ dy) / (sx * sy)
 
 
 @dataclass

@@ -99,10 +99,8 @@ def bon_loss(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult
 
 def mix(ce_weight: float, ce, bon):
     """ce_weight * ce + (1 - ce_weight) * bon, for loss values or gradients.
-
-    At weight 1 (0) the CE (BoN) term is returned as it is, so the other
-    term may be None there and no signed zero or rounding is introduced.
-    """
+    At weight 1 (0) the CE (BoN) term is returned as it is: the other term
+    may then be None, and no rounding or signed zero is added."""
     if ce_weight == 1.0:
         return ce
     if ce_weight == 0.0:
@@ -113,7 +111,9 @@ def mix(ce_weight: float, ce, bon):
 def joint_loss(table, ref: Sequence[int], cfg: JointConfig) -> LossResult:
     """alpha * cross-entropy + (1 - alpha) * BoN loss."""
     ce = cross_entropy(table, ref)
-    bon = bon_loss(table, ref, cfg.n, grad=cfg.alpha < 1.0)
+    if cfg.alpha == 1.0:
+        return ce
+    bon = bon_loss(table, ref, cfg.n)
     return LossResult(
         value=mix(cfg.alpha, ce.value, bon.value),
         grad=mix(cfg.alpha, ce.grad, bon.grad),
