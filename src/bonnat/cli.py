@@ -2,8 +2,9 @@
 
 Commands: gen-data, train, eval, correlate, oracle-check, gradcheck.
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure.
-Config files are INI-style key=value sections named after the commands
-(plus an optional [common] section); explicit flags win over the file.
+Config files are INI-style key=value sections named after the commands,
+plus an optional [common] section whose keys apply to every command
+that has the flag; explicit flags win over the file.
 """
 from __future__ import annotations
 
@@ -22,9 +23,11 @@ from . import checkpoint as ckpt
 from . import corpus as corpus_mod
 from . import evaluate as eval_mod
 from .gradcheck import (
+    ORACLE_GUARD,
     fd_param_gradients,
     fd_table_gradient,
     min_tie_gap,
+    oracle_expected_bag,
     random_table,
     tiny_model,
     worst_rel_error,
@@ -32,7 +35,7 @@ from .gradcheck import (
 from .loss import JointConfig, bon_loss, cross_entropy, joint_loss
 from .model import SCHEDULES, ModelDims, TrainConfig, TrainingDiverged, train
 from .ngram import count_ngrams
-from .probmodel import ORACLE_GUARD, expected_bag, expected_ngram_count
+from .probmodel import expected_ngram_count
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -135,18 +138,21 @@ def _apply_config(parser, commands, argv: list[str]) -> argparse.Namespace:
     read = cfg.read(args.config)
     if not read:
         raise UsageError(f"config file not found: {args.config}")
+    sub = commands[args.command]
+    actions = {a.dest: a for a in sub._actions}
+    # a [common] key applies to the commands that have its flag; it is
+    # unknown only if no command has it
+    every_flag = {a.dest for c in commands.values() for a in c._actions}
     defaults: dict[str, str] = {}
-    for section in ("common", args.command):
+    for section, keys in (("common", every_flag), (args.command, set(actions))):
         if cfg.has_section(section):
-            for key, val in cfg.items(section):
-                defaults[key.replace("-", "_")] = val
+            items = {k.replace("-", "_"): v for k, v in cfg.items(section)}
+            bad = set(items) - keys
+            if bad:
+                raise UsageError(f"unknown config keys: {sorted(bad)}")
+            defaults.update((k, v) for k, v in items.items() if k in actions)
     if defaults:
         # re-parse so explicit flags still win over file values
-        sub = commands[args.command]
-        actions = {a.dest: a for a in sub._actions}
-        bad = set(defaults) - set(actions)
-        if bad:
-            raise UsageError(f"unknown config keys: {sorted(bad)}")
         typed = {}
         for dest, val in defaults.items():
             action = actions[dest]
@@ -220,15 +226,6 @@ def _write_sidecar(path: Path, args, extra: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _snapshot(path: Path, args) -> None:
-    lines = [f"[{args.command}]"]
-    for key, val in sorted(vars(args).items()):
-        if key in ("command", "config"):
-            continue
-        lines.append(f"{key.replace('_', '-')}={val}")
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _file_hash(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -292,7 +289,11 @@ def cmd_train(args) -> int:
             for r in state.log
         ],
     )
-    _snapshot(args.out / "config.snapshot", args)
+    _write_sidecar(
+        args.out / "train_meta.json", args,
+        {"checkpoint_sha256": _file_hash(ckpt_path),
+         "short_sentence_skips": state.short_sentence_skips},
+    )
     last = state.log[-1]
     _result(
         "train", status="ok", checkpoint=ckpt_path, steps=state.step,
@@ -373,8 +374,6 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    from .probmodel import oracle_expected_bag
-
     V, T, n = args.vocab, args.length, args.n
     if V**T > ORACLE_GUARD:
         raise UsageError(f"search space {V}^{T} exceeds the enumeration guard")

@@ -1,15 +1,39 @@
-"""Central finite-difference checks for table-level and parameter-level
-gradients. Used by the gradcheck command and by the test suite.
+"""Test-only references: the enumeration oracle for expected n-gram
+counts and central finite differences for table-level and
+parameter-level gradients. Used by the oracle-check and gradcheck
+commands and by the test suite; no library module imports this one.
 """
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .model import ModelDims, NatModel
-from .ngram import count_ngrams
+from .ngram import Ngram, count_ngrams
 from .probmodel import expected_bag
+
+ORACLE_GUARD = 10**7
+
+
+def oracle_expected_bag(table, g: Ngram) -> float:
+    """Exact expectation by enumerating all V^T sequences."""
+    p = np.asarray(table, dtype=float)
+    T, V = p.shape
+    if V**T > ORACLE_GUARD:
+        raise ValueError(f"search space {V}^{T} exceeds the enumeration guard")
+    n = len(g)
+    total = 0.0
+    for seq in itertools.product(range(V), repeat=T):
+        prob = 1.0
+        for t, y in enumerate(seq):
+            prob *= p[t, y]
+        occurrences = sum(
+            1 for t in range(T - n + 1) if seq[t : t + n] == g
+        )
+        total += prob * occurrences
+    return total
 
 
 def fd_table_gradient(

@@ -6,13 +6,13 @@ contribute no match mass and therefore no gradient.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .ngram import count_ngrams
-from .probmodel import as_matrix, expected_bag, expected_count_gradient
+from .probmodel import expected_bag, expected_count_gradient
 
 LOG_CLAMP = 1e-12
 
@@ -38,7 +38,7 @@ class JointConfig:
 
 
 def cross_entropy(table, ref: Sequence[int]) -> LossResult:
-    p = as_matrix(table)
+    p = np.asarray(table, dtype=float)
     T, V = p.shape
     if len(ref) != T:
         raise ValueError(
@@ -59,7 +59,7 @@ def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
     an n-gram contributes gradient whenever expected <= reference. With
     grad=False only the value and match are computed (grad is None).
     """
-    p = as_matrix(table)
+    p = np.asarray(table, dtype=float)
     T, V = p.shape
     if T < n or len(ref) < n:
         # short sentences are defined as zero loss, flagged for callers
@@ -88,7 +88,7 @@ def bon_loss(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult
     raw = bon_l1(table, ref, n, grad)
     if raw.degenerate:
         return raw
-    T = as_matrix(table).shape[0]
+    T = np.asarray(table, dtype=float).shape[0]
     scale = 2.0 * (T - n + 1)
     return LossResult(
         value=raw.value / scale,

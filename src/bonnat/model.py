@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .corpus import PAD, ParallelPair
 from .loss import JointConfig, bon_loss, cross_entropy, mix
-from .probmodel import ProbTable
 
 SCHEDULES = ("ce", "bon-ft", "bon-joint", "bon-joint-ft")
 
@@ -37,6 +36,14 @@ class ModelDims:
     dl_max: int = 8
 
 
+class Forward(NamedTuple):
+    """A T x V table of per-position distributions and the activations
+    that `NatModel.backward` needs."""
+
+    probs: np.ndarray
+    cache: dict
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
@@ -48,10 +55,8 @@ class NatModel:
 
     PARAM_NAMES = ("src_emb", "pos_emb", "w1", "b1", "w2", "b2", "w_out", "b_out")
 
-    def __init__(self, dims: ModelDims, params: dict[str, np.ndarray] | None = None):
+    def __init__(self, dims: ModelDims, params: dict[str, np.ndarray]):
         self.dims = dims
-        if params is None:
-            raise ValueError("use NatModel.init or checkpoint loading")
         self.params = params
 
     @classmethod
@@ -71,16 +76,13 @@ class NatModel:
         }
         return cls(dims, params)
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def encoder_states(self, source: Sequence[int]) -> np.ndarray:
         return self.params["src_emb"][np.asarray(source)]
 
     def copy_indices(self, n_src: int, T: int) -> np.ndarray:
         return (np.arange(T) * n_src) // T
 
-    def _forward_cache(self, source: Sequence[int], T: int):
+    def _forward_cache(self, source: Sequence[int], T: int) -> Forward:
         if T < 1:
             raise ValueError("target length must be at least 1")
         if T > self.dims.p_max:
@@ -97,11 +99,10 @@ class NatModel:
         logits = h2 @ p["w_out"] + p["b_out"]
         probs = _softmax(logits)
         cache = {"copied": copied, "x": x, "h1": h1, "h2": h2, "probs": probs}
-        return probs, cache
+        return Forward(probs, cache)
 
-    def forward(self, source: Sequence[int], T: int) -> ProbTable:
-        probs, _ = self._forward_cache(source, T)
-        return ProbTable(probs)
+    def forward(self, source: Sequence[int], T: int) -> Forward:
+        return self._forward_cache(source, T)
 
     def backward(self, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndarray]:
         """Parameter gradients given d loss / d probability table."""
@@ -196,11 +197,15 @@ def postprocess(sent: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(out), len(sent) - len(out)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr=1e-3, beta1=0.9,
-                 beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict[str, np.ndarray], lr=1e-3):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -208,11 +213,11 @@ class Adam:
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            m_hat = self.m[k] / (1 - self.beta1**self.t)
-            v_hat = self.v[k] / (1 - self.beta2**self.t)
-            self.params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[k] / (1 - ADAM_BETA1**self.t)
+            v_hat = self.v[k] / (1 - ADAM_BETA2**self.t)
+            self.params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -254,6 +259,10 @@ class TrainState:
     log: list[dict] = field(default_factory=list)
 
 
+def _copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {k: v.copy() for k, v in params.items()}
+
+
 def train(
     config: TrainConfig,
     corpus: Sequence[ParallelPair],
@@ -263,7 +272,9 @@ def train(
     """Run the configured schedule and return the final state.
 
     Losses are averaged over the batch; the length predictor is trained
-    jointly with its own cross-entropy at weight 1.
+    jointly with its own cross-entropy at weight 1. An `init` state is
+    left as it is: training starts from copies of its parameters and
+    continues its step count.
     """
     config.validate()
     if not corpus:
@@ -276,7 +287,11 @@ def train(
             model=NatModel.init(dims, rng), lp=LengthPredictor.init(dims, rng)
         )
     else:
-        state = init
+        state = TrainState(
+            model=NatModel(init.model.dims, _copy_params(init.model.params)),
+            lp=LengthPredictor(init.lp.dl_max, _copy_params(init.lp.params)),
+            step=init.step,
+        )
     params = dict(state.model.params)
     params.update(state.lp.params)
     opt = Adam(params, config.lr)

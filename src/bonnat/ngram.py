@@ -11,8 +11,6 @@ from typing import Mapping, Sequence
 Ngram = tuple[int, ...]
 NgramBag = dict[Ngram, float]
 
-MAX_ORDER = 4
-
 
 def count_ngrams(sentence: Sequence[int], n: int) -> NgramBag:
     """Occurrence counts of every length-n window; empty when len < n."""

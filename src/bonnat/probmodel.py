@@ -1,59 +1,18 @@
 """Expected bag-of-ngrams of a table of per-position distributions.
 
-The efficient path is one vectorised kernel over the W x n x k factor
-tensor F[t, i, j] = p[t + i, g_j[i]] of k n-grams and W = T - n + 1
-windows: expected counts are products over i summed over t, gradients
-are leave-one-out products scattered back onto the table. The
-brute-force path enumerates every output sequence and is kept only as a
-testing oracle.
+A table is a plain T x V array. One vectorised kernel works over the
+W x n x k factor tensor F[t, i, j] = p[t + i, g_j[i]] of k n-grams and
+W = T - n + 1 windows: expected counts are products over i summed over
+t, gradients are leave-one-out products scattered back onto the table.
+The enumeration oracle that checks it lives in `bonnat.gradcheck`.
 """
 from __future__ import annotations
 
-import itertools
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .ngram import Ngram, NgramBag
-
-ROW_SUM_TOL = 1e-6
-ORACLE_GUARD = 10**7
-
-
-class ProbTable:
-    """T x V matrix whose row t is the categorical distribution at t.
-
-    Rows off by more than 1e-6 from sum 1 are rejected, not renormalized.
-    """
-
-    def __init__(self, probs):
-        probs = np.asarray(probs, dtype=float)
-        if probs.ndim != 2 or probs.shape[0] < 1 or probs.shape[1] < 1:
-            raise ValueError("probability table must be a nonempty 2-d matrix")
-        if np.any(probs < 0):
-            raise ValueError("probability table has negative entries")
-        row_sums = probs.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-            worst = int(np.argmax(np.abs(row_sums - 1.0)))
-            raise ValueError(
-                f"row {worst} sums to {row_sums[worst]:.8f}, not 1"
-            )
-        self.probs = probs
-
-    @property
-    def T(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def V(self) -> int:
-        return self.probs.shape[1]
-
-
-def as_matrix(table) -> np.ndarray:
-    """Accept a ProbTable or a raw matrix (used by finite differences)."""
-    if isinstance(table, ProbTable):
-        return table.probs
-    return np.asarray(table, dtype=float)
 
 
 def _rows(T: int, n: int) -> np.ndarray:
@@ -93,7 +52,7 @@ def _leave_one_out(F: np.ndarray) -> np.ndarray:
 
 def expected_ngram_count(table, g: Ngram) -> float:
     """Sum over windows t of prod_i p(y_{t+i} = g_i); 0 when T < n."""
-    p = as_matrix(table)
+    p = np.asarray(table, dtype=float)
     if p.shape[0] < len(g):
         return 0.0
     return float(_counts(_factors(p, np.array([g])))[0])
@@ -104,32 +63,13 @@ def expected_bag(table, support: Mapping[Ngram, float]) -> NgramBag:
 
     The cost is O(T * n * |support|) instead of touching all V^n n-grams.
     """
-    p = as_matrix(table)
+    p = np.asarray(table, dtype=float)
     if not support:
         return {}
     grams = list(support)
     if p.shape[0] < len(grams[0]):
         return {}
     return dict(zip(grams, _counts(_factors(p, np.array(grams))).tolist()))
-
-
-def oracle_expected_bag(table, g: Ngram) -> float:
-    """Exact expectation by enumerating all V^T sequences. Testing only."""
-    p = as_matrix(table)
-    T, V = p.shape
-    if V**T > ORACLE_GUARD:
-        raise ValueError(f"search space {V}^{T} exceeds the enumeration guard")
-    n = len(g)
-    total = 0.0
-    for seq in itertools.product(range(V), repeat=T):
-        prob = 1.0
-        for t, y in enumerate(seq):
-            prob *= p[t, y]
-        occurrences = sum(
-            1 for t in range(T - n + 1) if seq[t : t + n] == g
-        )
-        total += prob * occurrences
-    return total
 
 
 def expected_count_gradient(table, grams) -> np.ndarray:
@@ -142,7 +82,7 @@ def expected_count_gradient(table, grams) -> np.ndarray:
     are the gram's distinct tokens at each row; the second adds the
     stages into the table in gram order.
     """
-    p = as_matrix(table)
+    p = np.asarray(table, dtype=float)
     T, V = p.shape
     grams = np.array(grams, dtype=np.intp, ndmin=2)
     k, n = grams.shape

@@ -26,6 +26,7 @@ from bonnat.gradcheck import (
     fd_param_gradients,
     fd_table_gradient,
     min_tie_gap,
+    oracle_expected_bag,
     random_table,
     tiny_model,
     worst_rel_error,
@@ -39,10 +40,7 @@ from bonnat.model import (
     train,
 )
 from bonnat.ngram import count_ngrams
-from bonnat.probmodel import (
-    expected_ngram_count,
-    oracle_expected_bag,
-)
+from bonnat.probmodel import expected_ngram_count
 
 
 RESULT_LINES: list[str] = []

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import re
 
 import pytest
@@ -56,8 +57,9 @@ def test_train_writes_outputs(tmp_path, capsys):
     assert code == 0, err
     skips = re.search(r" short_sentence_skips=(\d+)", out)
     assert skips is not None and 0 < int(skips.group(1)) < 40 * 8
-    assert (out_dir / "checkpoint.bin").exists()
-    assert (out_dir / "config.snapshot").exists()
+    meta = json.loads((out_dir / "train_meta.json").read_text())
+    assert meta["checkpoint_sha256"] == sha(out_dir / "checkpoint.bin")
+    assert meta["short_sentence_skips"] == int(skips.group(1))
     with (out_dir / "train_log.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 40
@@ -259,6 +261,37 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[train]\nbogus-key=1\n")
     code, _, err = run(["train", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "unknown config keys" in err
+
+
+def test_common_config_keys_apply_where_the_command_has_the_flag(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[common]\nseed=7\ntask=copy\nvocab=12\nmin-len=2\nmax-len=6\n"
+        "pairs=120\n\n[train]\nsteps=40\nbatch=8\n"
+    )
+    code, _, err = run(
+        ["train", "--config", str(cfg), "--out", str(tmp_path / "r1")], capsys
+    )
+    assert code == 0, err
+    flags = train_once(tmp_path, capsys, "r2")
+    assert sha(tmp_path / "r1" / "checkpoint.bin") == sha(flags / "checkpoint.bin")
+    # gradcheck has --seed and --vocab but no --task: the rest is skipped
+    code, out, err = run(
+        ["gradcheck", "--config", str(cfg), "--trials", "2"], capsys
+    )
+    assert code == 0, err
+    code, out2, _ = run(
+        ["gradcheck", "--seed", "7", "--vocab", "12", "--trials", "2"], capsys
+    )
+    assert out == out2
+
+
+def test_unknown_common_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[common]\nbogus-key=1\n")
+    code, _, err = run(["gradcheck", "--config", str(cfg)], capsys)
     assert code == 2
     assert "unknown config keys" in err
 

@@ -12,13 +12,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bonnat.gradcheck import oracle_expected_bag
 from bonnat.loss import LossResult, bon_loss
 from bonnat.ngram import count_ngrams
 from bonnat.probmodel import (
     expected_bag,
     expected_count_gradient,
     expected_ngram_count,
-    oracle_expected_bag,
 )
 
 

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -177,18 +175,17 @@ def test_joint_alpha_zero_matches_bon_ft_schedule():
     corpus = small_corpus()
     dims = small_dims()
     base = train(TrainConfig(schedule="ce", steps=30, batch_size=4, seed=3), corpus, dims)
-    # training moves the initial state's arrays in place
     ft = train(
         TrainConfig(schedule="bon-ft", steps=30, batch_size=4, seed=9),
         corpus,
         dims,
-        init=copy.deepcopy(base),
+        init=base,
     )
     joint = train(
         TrainConfig(schedule="bon-joint", alpha=0.0, steps=30, batch_size=4, seed=9),
         corpus,
         dims,
-        init=copy.deepcopy(base),
+        init=base,
     )
     for k in ft.model.params:
         assert np.array_equal(ft.model.params[k], joint.model.params[k])
@@ -213,6 +210,25 @@ def test_bon_ft_runs_from_state():
         init=base,
     )
     assert ft.step == 150
+
+
+def test_train_leaves_init_state_unchanged():
+    corpus = small_corpus()
+    dims = small_dims()
+    base = train(TrainConfig(schedule="ce", steps=5, batch_size=4, seed=3), corpus, dims)
+    before = {k: v.copy() for k, v in {**base.model.params, **base.lp.params}.items()}
+    log_before = [dict(r) for r in base.log]
+    ft = train(
+        TrainConfig(schedule="bon-ft", steps=5, batch_size=4, seed=4),
+        corpus,
+        dims,
+        init=base,
+    )
+    assert ft is not base and ft.step == 10 and base.step == 5
+    for k, v in {**base.model.params, **base.lp.params}.items():
+        assert np.array_equal(v, before[k])
+    assert base.log == log_before
+    assert not np.array_equal(ft.model.params["w1"], base.model.params["w1"])
 
 
 def test_empty_corpus_rejected():

@@ -1,16 +1,24 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bonnat.gradcheck import fd_table_gradient, random_table, worst_rel_error
+import bonnat
+
+from bonnat.gradcheck import (
+    fd_table_gradient,
+    oracle_expected_bag,
+    random_table,
+    worst_rel_error,
+)
 from bonnat.ngram import count_ngrams
 from bonnat.probmodel import (
-    ProbTable,
     expected_bag,
     expected_count_gradient,
     expected_ngram_count,
-    oracle_expected_bag,
 )
 
 
@@ -20,18 +28,8 @@ def one_hot_table(sentence, V):
     return t
 
 
-def test_table_validation():
-    with pytest.raises(ValueError):
-        ProbTable(np.array([[0.5, 0.6]]))
-    with pytest.raises(ValueError):
-        ProbTable(np.array([[-0.1, 1.1]]))
-    with pytest.raises(ValueError):
-        ProbTable(np.zeros((0, 2)))
-    ProbTable(np.array([[0.5, 0.5 + 5e-7]]))  # inside tolerance
-
-
 def test_uniform_single_window():
-    table = ProbTable(np.full((2, 2), 0.5))
+    table = np.full((2, 2), 0.5)
     assert expected_ngram_count(table, (0, 1)) == pytest.approx(0.25)
 
 
@@ -133,3 +131,21 @@ def test_gradient_matches_finite_differences():
         analytic = expected_count_gradient(table, g)
         numeric = fd_table_gradient(lambda p: expected_ngram_count(p, g), table)
         assert worst_rel_error(analytic, numeric) < 1e-6
+
+
+FENCE_PROBE = """
+import sys
+import bonnat, bonnat.checkpoint, bonnat.corpus, bonnat.evaluate, bonnat.model
+assert "bonnat.gradcheck" not in sys.modules, "gradcheck was imported"
+assert not hasattr(bonnat.probmodel, "oracle_expected_bag"), "oracle in probmodel"
+"""
+
+
+def test_production_modules_do_not_load_test_only_code():
+    # a fresh interpreter: this test session has gradcheck loaded already
+    src = Path(bonnat.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", FENCE_PROBE],
+        cwd=src, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
