@@ -152,23 +152,19 @@ def generate_task(spec: SyntheticTaskSpec) -> list[ParallelPair]:
     for _ in range(spec.pairs):
         length = int(rng.integers(spec.min_len, spec.max_len + 1))
         src = [int(rng.integers(lo, hi))]
-        for _ in range(length - 1):
-            nxt = int(rng.integers(lo, hi - 1))
-            if nxt >= src[-1]:
-                nxt += 1
-            src.append(nxt)
+        # one call draws the same stream as one call per token: PCG64
+        # buffers the 32-bit draws that these small ranges use
+        for nxt in rng.integers(lo, hi - 1, size=length - 1).tolist():
+            src.append(nxt + (nxt >= src[-1]))
         if spec.kind == "copy":
-            tgt = list(src)
+            tgt = src
         elif spec.kind == "reverse":
             tgt = src[::-1]
         else:
-            tgt = [int(subst[s - lo]) for s in src]
+            tgt = subst[np.array(src) - lo].tolist()
         if spec.target_noise > 0.0:
             noise_mask = rng.random(length) < spec.target_noise
             noise_ids = rng.integers(lo, hi, size=length)
-            tgt = [
-                int(noise_ids[i]) if noise_mask[i] else tgt[i]
-                for i in range(length)
-            ]
+            tgt = np.where(noise_mask, noise_ids, tgt).tolist()
         pairs.append(ParallelPair(tuple(src), tuple(tgt)))
     return pairs

@@ -4,6 +4,7 @@ and an Adam trainer whose schedules are phases of one CE/BoN objective.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -37,11 +38,19 @@ class ModelDims:
 
 
 class Forward(NamedTuple):
-    """A T x V table of per-position distributions and the activations
-    that `NatModel.backward` needs."""
+    """A rows x V table of per-position distributions (T x V for one
+    sentence) and the activations that `NatModel.backward` needs."""
 
     probs: np.ndarray
     cache: dict
+
+
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """n x d array whose row i sums, in order, the rows r with idx[r] == i
+    (np.add.at into zeros, computed by one faster bincount)."""
+    d = rows.shape[1]
+    flat = (np.asarray(idx)[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -82,33 +91,42 @@ class NatModel:
     def copy_indices(self, n_src: int, T: int) -> np.ndarray:
         return (np.arange(T) * n_src) // T
 
-    def _forward_cache(self, source: Sequence[int], T: int) -> Forward:
+    def check_length(self, T: int) -> None:
         if T < 1:
             raise ValueError("target length must be at least 1")
         if T > self.dims.p_max:
             raise CapacityError(
                 f"target length {T} exceeds position capacity {self.dims.p_max}"
             )
+
+    def forward_rows(self, copied: np.ndarray, pos: np.ndarray | slice) -> Forward:
+        """Row i is the output distribution at position pos[i] given the
+        copied source token copied[i]; rows may come from many sentences.
+        One sentence passes its positions as a slice, which indexes the
+        position table without a copy."""
         p = self.params
-        src = np.asarray(source)
-        copy_idx = self.copy_indices(len(src), T)
-        copied = src[copy_idx]
-        x = p["src_emb"][copied] + p["pos_emb"][:T]
+        x = p["src_emb"][copied] + p["pos_emb"][pos]
         h1 = np.tanh(x @ p["w1"] + p["b1"])
         h2 = np.tanh(h1 @ p["w2"] + p["b2"])
         logits = h2 @ p["w_out"] + p["b_out"]
         probs = _softmax(logits)
-        cache = {"copied": copied, "x": x, "h1": h1, "h2": h2, "probs": probs}
+        cache = {"copied": copied, "pos": pos, "x": x, "h1": h1, "h2": h2,
+                 "probs": probs}
         return Forward(probs, cache)
+
+    def _forward_cache(self, source: Sequence[int], T: int) -> Forward:
+        self.check_length(T)
+        src = np.asarray(source)
+        return self.forward_rows(src[self.copy_indices(len(src), T)], slice(0, T))
 
     def forward(self, source: Sequence[int], T: int) -> Forward:
         return self._forward_cache(source, T)
 
     def backward(self, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients given d loss / d probability table."""
+        """Parameter gradients given d loss / d probability table, summed
+        over the rows of a `forward_rows` cache."""
         p = self.params
         probs, h1, h2, x = cache["probs"], cache["h1"], cache["h2"], cache["x"]
-        T = probs.shape[0]
         inner = (dprobs * probs).sum(axis=1, keepdims=True)
         dlogits = probs * (dprobs - inner)
         grads = {
@@ -124,10 +142,9 @@ class NatModel:
         grads["w1"] = x.T @ dz1
         grads["b1"] = dz1.sum(axis=0)
         dx = dz1 @ p["w1"].T
-        grads["pos_emb"] = np.zeros_like(p["pos_emb"])
-        grads["pos_emb"][:T] = dx
-        grads["src_emb"] = np.zeros_like(p["src_emb"])
-        np.add.at(grads["src_emb"], cache["copied"], dx)
+        pos = np.arange(len(p["pos_emb"]))[cache["pos"]]
+        grads["pos_emb"] = _scatter_rows(pos, dx, len(p["pos_emb"]))
+        grads["src_emb"] = _scatter_rows(cache["copied"], dx, len(p["src_emb"]))
         return grads
 
 
@@ -157,21 +174,26 @@ class LengthPredictor:
         return int(np.argmax(self.class_probs(enc_sum))) - self.dl_max
 
     def loss_and_grads(
-        self, enc_sum: np.ndarray, diff: int
+        self, enc_sum: np.ndarray, diff
     ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
         """CE on the clamped difference class; also returns the gradient
-        w.r.t. the summed encoder states so it can flow to embeddings."""
-        k = 2 * self.dl_max + 1
-        cls_idx = min(max(diff, -self.dl_max), self.dl_max) + self.dl_max
+        w.r.t. the summed encoder states so it can flow to embeddings.
+
+        `enc_sum` is one sentence's d-vector with an int `diff`, or a
+        G x d stack with G diffs: the loss value and the parameter
+        gradients are then sums over the G sentences.
+        """
+        cls_idx = np.clip(diff, -self.dl_max, self.dl_max) + self.dl_max
         probs = self.class_probs(enc_sum)
-        value = float(-np.log(max(probs[cls_idx], 1e-12)))
-        dlogits = probs.copy()
-        dlogits[cls_idx] -= 1.0
+        target = np.arange(probs.shape[-1]) == np.expand_dims(cls_idx, -1)
+        picked = (probs * target).sum(axis=-1)
+        value = float(-np.log(np.maximum(picked, 1e-12)).sum())
+        dlogits = probs - target
         grads = {
-            "lp_w": np.outer(enc_sum, dlogits),
-            "lp_b": dlogits,
+            "lp_w": np.atleast_2d(enc_sum).T @ np.atleast_2d(dlogits),
+            "lp_b": np.atleast_2d(dlogits).sum(axis=0),
         }
-        d_enc_sum = self.params["lp_w"] @ dlogits
+        d_enc_sum = dlogits @ self.params["lp_w"].T
         return value, grads, d_enc_sum
 
 
@@ -263,6 +285,115 @@ def _copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in params.items()}
 
 
+GROUP_CELLS = 16384  # table cells (128 KiB of float64) of one row group
+
+
+def row_groups(lengths: Sequence[int], vocab: int) -> list[range]:
+    """Runs of consecutive sentences whose tables (T x vocab each) hold at
+    most GROUP_CELLS cells together; a longer sentence is a run of one."""
+    groups, start, cells = [], 0, 0
+    for i, T in enumerate(lengths):
+        if i > start and cells + T * vocab > GROUP_CELLS:
+            groups.append(range(start, i))
+            start, cells = i, 0
+        cells += T * vocab
+    groups.append(range(start, len(lengths)))
+    return groups
+
+
+class BatchGradients(NamedTuple):
+    grads: dict[str, np.ndarray]  # summed over the batch's sentences
+    ce: float  # summed loss values
+    bon: float
+    degenerate: int  # sentences shorter than n
+    diverged: int | None  # batch position of the first non-finite sentence
+
+
+def _group_gradients(
+    model: NatModel,
+    lp: LengthPredictor,
+    pairs: Sequence[ParallelPair],
+    ce_weight: float,
+    n: int,
+) -> BatchGradients:
+    """`batch_gradients` of one row group: its target positions are the
+    rows of one ragged table. Its tables are freed on return, so one
+    group's tables at a time are alive."""
+    tgt_len = np.array([len(pair.target) for pair in pairs])
+    src_len = np.array([len(pair.source) for pair in pairs])
+    rows, tgt_start = tgt_len.sum(), np.cumsum(tgt_len) - tgt_len
+    src_start = np.cumsum(src_len) - src_len
+    source = np.fromiter(
+        itertools.chain.from_iterable(pair.source for pair in pairs),
+        np.intp, src_len.sum(),
+    )
+    target = np.fromiter(
+        itertools.chain.from_iterable(pair.target for pair in pairs),
+        np.intp, rows,
+    )
+    # row r is position t of its sentence, copying source index
+    # (t * S) // T as `NatModel.copy_indices` does
+    pos = np.arange(rows) - np.repeat(tgt_start, tgt_len)
+    copy_idx = pos * np.repeat(src_len, tgt_len) // np.repeat(tgt_len, tgt_len)
+    copied = source[np.repeat(src_start, tgt_len) + copy_idx]
+    probs, cache = model.forward_rows(copied, pos)
+    ce = cross_entropy(probs, target)
+    # a phase of CE weight 1 only logs the BoN value
+    bons = [
+        bon_loss(probs[a : a + T], pair.target, n, grad=ce_weight < 1.0)
+        for pair, a, T in zip(pairs, tgt_start, tgt_len)
+    ]
+    if not np.isfinite(ce.value) or not all(np.isfinite(b.value) for b in bons):
+        for j, (pair, a, T) in enumerate(zip(pairs, tgt_start, tgt_len)):
+            sent_ce = cross_entropy(probs[a : a + T], pair.target)
+            if not np.isfinite(sent_ce.value) or not np.isfinite(bons[j].value):
+                return BatchGradients({}, ce.value, 0.0, 0, j)
+    bon_grad = np.concatenate([b.grad for b in bons]) if ce_weight < 1.0 else None
+    grads = model.backward(cache, mix(ce_weight, ce.grad, bon_grad))
+    enc_sum = np.add.reduceat(model.encoder_states(source), src_start, axis=0)
+    _, lp_grads, d_enc_sum = lp.loss_and_grads(enc_sum, tgt_len - src_len)
+    grads.update(lp_grads)
+    grads["src_emb"] += _scatter_rows(
+        source, np.repeat(d_enc_sum, src_len, axis=0), len(grads["src_emb"])
+    )
+    bon = sum(b.value for b in bons)
+    degenerate = sum(b.degenerate for b in bons)
+    return BatchGradients(grads, ce.value, bon, degenerate, None)
+
+
+def batch_gradients(
+    model: NatModel,
+    lp: LengthPredictor,
+    pairs: Sequence[ParallelPair],
+    ce_weight: float,
+    n: int,
+) -> BatchGradients:
+    """Gradients of w * CE + (1 - w) * BoN and of the length predictor's
+    CE, summed over `pairs`. The model is position-wise, so each row
+    group gets one forward, CE, backward and length-predictor call, and
+    BoN runs per sentence on row views. Stops at the first group holding
+    a non-finite loss and returns the position of that sentence."""
+    lengths = [len(pair.target) for pair in pairs]
+    for T in lengths:
+        model.check_length(T)
+    grads = {
+        k: np.zeros_like(v) for k, v in (*model.params.items(), *lp.params.items())
+    }
+    ce = bon = 0.0
+    degenerate = 0
+    for group in row_groups(lengths, model.dims.vocab):
+        part = _group_gradients(model, lp, [pairs[i] for i in group], ce_weight, n)
+        if part.diverged is not None:
+            diverged = group.start + part.diverged
+            return BatchGradients(grads, ce, bon, degenerate, diverged)
+        for k, g in part.grads.items():
+            grads[k] += g
+        ce += part.ce
+        bon += part.bon
+        degenerate += part.degenerate
+    return BatchGradients(grads, ce, bon, degenerate, None)
+
+
 def train(
     config: TrainConfig,
     corpus: Sequence[ParallelPair],
@@ -300,32 +431,14 @@ def train(
         for _ in range(budget):
             t0 = time.perf_counter()
             idx = rng.integers(0, len(corpus), size=config.batch_size)
-            grads = {k: np.zeros_like(v) for k, v in params.items()}
-            ce_sum = bon_sum = joint_sum = 0.0
-            for sent_id in idx:
-                pair = corpus[int(sent_id)]
-                probs, cache = state.model._forward_cache(
-                    pair.source, len(pair.target)
-                )
-                ce = cross_entropy(probs, pair.target)
-                # a phase of CE weight 1 only logs the BoN value
-                bon = bon_loss(probs, pair.target, config.n, grad=ce_weight < 1.0)
-                if bon.degenerate:
-                    state.short_sentence_skips += 1
-                if not np.isfinite(ce.value) or not np.isfinite(bon.value):
-                    raise TrainingDiverged(state.step, int(sent_id))
-                ce_sum += ce.value
-                bon_sum += bon.value
-                joint_sum += mix(config.alpha, ce.value, bon.value)
-                dprobs = mix(ce_weight, ce.grad, bon.grad)
-                for k, g in state.model.backward(cache, dprobs).items():
-                    grads[k] += g
-                enc_sum = state.model.encoder_states(pair.source).sum(axis=0)
-                diff = len(pair.target) - len(pair.source)
-                _, lp_grads, d_enc_sum = state.lp.loss_and_grads(enc_sum, diff)
-                for k, g in lp_grads.items():
-                    grads[k] += g
-                np.add.at(grads["src_emb"], np.asarray(pair.source), d_enc_sum)
+            batch = batch_gradients(
+                state.model, state.lp, [corpus[i] for i in idx.tolist()],
+                ce_weight, config.n,
+            )
+            if batch.diverged is not None:
+                raise TrainingDiverged(state.step, int(idx[batch.diverged]))
+            state.short_sentence_skips += batch.degenerate
+            grads = batch.grads
             for k in grads:
                 grads[k] /= config.batch_size
             opt.step(grads)
@@ -333,9 +446,10 @@ def train(
             state.log.append(
                 {
                     "step": state.step,
-                    "ce_loss": ce_sum / config.batch_size,
-                    "bon_loss": bon_sum / config.batch_size,
-                    "joint_loss": joint_sum / config.batch_size,
+                    "ce_loss": batch.ce / config.batch_size,
+                    "bon_loss": batch.bon / config.batch_size,
+                    "joint_loss": mix(config.alpha, batch.ce, batch.bon)
+                    / config.batch_size,
                     "lr": config.lr,
                     "wall_ms": (time.perf_counter() - t0) * 1e3,
                 }

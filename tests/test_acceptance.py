@@ -13,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bonnat import checkpoint as ckpt_mod
 from bonnat.cli import main as cli_main
 from bonnat.corpus import SyntheticTaskSpec, generate_task
 from bonnat.evaluate import (
@@ -32,13 +31,7 @@ from bonnat.gradcheck import (
     worst_rel_error,
 )
 from bonnat.loss import JointConfig, bon_l1, bon_loss, cross_entropy, joint_loss
-from bonnat.model import (
-    ModelDims,
-    TrainConfig,
-    decode,
-    postprocess,
-    train,
-)
+from bonnat.model import ModelDims, TrainConfig, train
 from bonnat.ngram import count_ngrams
 from bonnat.probmodel import expected_ngram_count
 

@@ -94,6 +94,21 @@ def test_bon_ft_from_checkpoint(tmp_path, capsys):
     assert "steps=50" in out
 
 
+def test_non_finite_parameter_exits_3(tmp_path, capsys):
+    base = train_once(tmp_path, capsys, "base")
+    state, meta = ckpt.load(base / "checkpoint.bin")
+    state.model.params["w_out"][0, 0] = float("nan")
+    ckpt.save(tmp_path / "nan.bin", state, seed=meta["seed"])
+    code, out, err = run(
+        ["train", *TASK, "--steps", "5", "--batch", "8", "--seed", "8",
+         "--init", str(tmp_path / "nan.bin"), "--out", str(tmp_path / "ft")],
+        capsys,
+    )
+    assert code == 3 and out == ""
+    assert re.fullmatch(r"error: non-finite loss at step 40, sentence \d+\n", err)
+    assert not (tmp_path / "ft").exists()
+
+
 def test_eval_outputs(tmp_path, capsys):
     run_dir = train_once(tmp_path, capsys, "run")
     code, out, err = run(

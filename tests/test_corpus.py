@@ -1,5 +1,6 @@
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bonnat import corpus
@@ -108,6 +109,68 @@ def test_invalid_spec_rejected():
         _spec("copy", min_len=0).validate()
     with pytest.raises(corpus.CorpusError):
         _spec("blorp").validate()
+
+
+def per_token_generate(spec):
+    """The generator drawing one token per `integers` call: the
+    reference that `generate_task` must reproduce draw for draw."""
+    rng = np.random.default_rng(spec.seed)
+    lo, hi = 2, spec.vocab_size
+    subst = np.arange(lo, hi)
+    if spec.kind == "dict":
+        subst = rng.permutation(subst)
+    pairs = []
+    for _ in range(spec.pairs):
+        length = int(rng.integers(spec.min_len, spec.max_len + 1))
+        src = [int(rng.integers(lo, hi))]
+        for _ in range(length - 1):
+            nxt = int(rng.integers(lo, hi - 1))
+            if nxt >= src[-1]:
+                nxt += 1
+            src.append(nxt)
+        if spec.kind == "copy":
+            tgt = list(src)
+        elif spec.kind == "reverse":
+            tgt = src[::-1]
+        else:
+            tgt = [int(subst[s - lo]) for s in src]
+        if spec.target_noise > 0.0:
+            noise_mask = rng.random(length) < spec.target_noise
+            noise_ids = rng.integers(lo, hi, size=length)
+            tgt = [
+                int(noise_ids[i]) if noise_mask[i] else tgt[i]
+                for i in range(length)
+            ]
+        pairs.append(corpus.ParallelPair(tuple(src), tuple(tgt)))
+    return pairs
+
+
+@st.composite
+def task_specs(draw):
+    min_len = draw(st.integers(1, 12))
+    return corpus.SyntheticTaskSpec(
+        kind=draw(st.sampled_from(corpus.TASK_KINDS)),
+        vocab_size=draw(st.integers(4, 300)),
+        min_len=min_len,
+        max_len=draw(st.integers(min_len, 24)),
+        pairs=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        target_noise=draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 0.99)),
+    )
+
+
+# V=4 leaves one choice after the first token: integers(2, 3) draws nothing
+@example(corpus.SyntheticTaskSpec("dict", 4, 1, 9, 30, 5, target_noise=0.2))
+@example(corpus.SyntheticTaskSpec("copy", 4, 6, 6, 20, 1))
+@example(corpus.SyntheticTaskSpec("reverse", 200, 16, 30, 40, 3, target_noise=0.1))
+@settings(max_examples=150, deadline=None)
+@given(task_specs())
+def test_generate_task_equals_per_token_draws(spec):
+    pairs = corpus.generate_task(spec)
+    assert pairs == per_token_generate(spec)
+    assert all(
+        type(tok) is int for pair in pairs for side in pair for tok in side
+    )
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c", "zz"]), max_size=20))

@@ -13,7 +13,7 @@ from bonnat.evaluate import (
     removed_token_report,
     split_short_long,
 )
-from bonnat.model import LengthPredictor, ModelDims, NatModel, TrainConfig, train
+from bonnat.model import ModelDims, TrainConfig, train
 
 
 def test_bleu_identity_is_one():

@@ -6,16 +6,20 @@ from hypothesis import strategies as st
 from bonnat import checkpoint as ckpt
 from bonnat.corpus import ParallelPair, SyntheticTaskSpec, generate_task
 from bonnat.gradcheck import fd_param_gradients, worst_rel_error
-from bonnat.loss import JointConfig, joint_loss
+from bonnat.loss import JointConfig, bon_loss, cross_entropy, joint_loss, mix
 from bonnat.model import (
+    GROUP_CELLS,
     Adam,
     CapacityError,
     LengthPredictor,
     ModelDims,
     NatModel,
     TrainConfig,
+    TrainingDiverged,
+    batch_gradients,
     decode,
     postprocess,
+    row_groups,
     train,
 )
 
@@ -229,6 +233,95 @@ def test_train_leaves_init_state_unchanged():
         assert np.array_equal(v, before[k])
     assert base.log == log_before
     assert not np.array_equal(ft.model.params["w1"], base.model.params["w1"])
+
+
+def per_sentence_gradients(model, lp, pairs, ce_weight, n):
+    """One forward, backward and length-predictor call per sentence: the
+    reference that `batch_gradients` must sum to."""
+    grads = {k: np.zeros_like(v) for k, v in {**model.params, **lp.params}.items()}
+    ce_sum = bon_sum = 0.0
+    for pair in pairs:
+        probs, cache = model._forward_cache(pair.source, len(pair.target))
+        ce = cross_entropy(probs, pair.target)
+        bon = bon_loss(probs, pair.target, n)
+        ce_sum += ce.value
+        bon_sum += bon.value
+        for k, g in model.backward(cache, mix(ce_weight, ce.grad, bon.grad)).items():
+            grads[k] += g
+        enc_sum = model.encoder_states(pair.source).sum(axis=0)
+        diff = len(pair.target) - len(pair.source)
+        _, lp_grads, d_enc_sum = lp.loss_and_grads(enc_sum, diff)
+        for k, g in lp_grads.items():
+            grads[k] += g
+        np.add.at(grads["src_emb"], np.asarray(pair.source), d_enc_sum)
+    return grads, ce_sum, bon_sum
+
+
+@pytest.mark.parametrize("ce_weight", [1.0, 0.1, 0.0])
+def test_batch_gradients_equal_per_sentence_sum(ce_weight):
+    dims = ModelDims(vocab=200, d=6, h=12, p_max=32, dl_max=3)
+    model, lp = fresh(5, dims)
+    rng = np.random.default_rng(11)
+
+    def pair(S, T):
+        return ParallelPair(
+            tuple(int(x) for x in rng.integers(2, dims.vocab, size=S)),
+            tuple(int(x) for x in rng.integers(2, dims.vocab, size=T)),
+        )
+
+    # T=1 and T=2 are shorter than n=3; T=p_max; sources longer and
+    # shorter than targets, and by more than dl_max
+    corpus = [pair(1, 1), pair(4, 2), pair(9, 32), pair(30, 31), pair(5, 12),
+              pair(17, 16), pair(2, 1), pair(12, 20)]
+    ids = [3, 0, 2, 2, 4, 1, 5, 6, 3, 7, 2, 0, 6, 4, 1, 5]
+    pairs = [corpus[i] for i in ids]
+    lengths = [len(p.target) for p in pairs]
+    assert len(row_groups(lengths, dims.vocab)) > 1
+    got = batch_gradients(model, lp, pairs, ce_weight, 3)
+    want, ce_sum, bon_sum = per_sentence_gradients(model, lp, pairs, ce_weight, 3)
+    assert got.diverged is None
+    assert got.degenerate == sum(T < 3 for T in lengths)
+    assert got.ce == pytest.approx(ce_sum, rel=1e-12)
+    assert got.bon == pytest.approx(bon_sum, rel=1e-12)
+    assert set(got.grads) == set(want)
+    for k in want:
+        # summed in another order: entries that cancel to near zero are
+        # held to the rounding of the gradient's largest entry
+        scale = np.abs(want[k]).max()
+        np.testing.assert_allclose(
+            got.grads[k], want[k], rtol=1e-12, atol=1e-12 * scale, err_msg=k
+        )
+
+
+def test_row_groups_bound_the_table():
+    V = 128  # GROUP_CELLS holds 128 rows
+    lengths = [30, 60, 80, 200, 1, 1, 126, 1]
+    groups = row_groups(lengths, V)
+    assert [list(g) for g in groups] == [[0, 1], [2], [3], [4, 5, 6], [7]]
+    for g in groups:
+        cells = sum(lengths[i] for i in g) * V
+        assert cells <= GROUP_CELLS or len(g) == 1
+
+
+def test_non_finite_loss_names_the_first_bad_sentence():
+    dims = ModelDims(vocab=2000, d=4, h=8, p_max=8, dl_max=2)
+    corpus = generate_task(SyntheticTaskSpec("copy", 2000, 4, 8, 60, seed=1))
+    base = train(TrainConfig(schedule="ce", steps=2, batch_size=8, seed=3),
+                 corpus, dims)
+    config = TrainConfig(schedule="ce", steps=5, batch_size=8, seed=4)
+    # with an init state the first draw of the seeded generator is the batch
+    ids = np.random.default_rng(config.seed).integers(0, len(corpus), size=8)
+    batch = [corpus[i] for i in ids]
+    groups = row_groups([len(p.target) for p in batch], dims.vocab)
+    assert len(groups) > 1
+    # NaN in a token that first occurs in the last row group's first sentence
+    k = groups[-1].start
+    earlier = {t for p in batch[:k] for t in p.source}
+    tok = next(t for t in batch[k].source if t not in earlier)
+    base.model.params["src_emb"][tok, 0] = np.nan
+    with pytest.raises(TrainingDiverged) as exc:
+        train(config, corpus, dims, init=base)
+    assert (exc.value.step, exc.value.sentence) == (2, int(ids[k]))
 
 
 def test_empty_corpus_rejected():
