@@ -303,13 +303,24 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _bucket_edges(text: str) -> list[int]:
+    """The --buckets value: comma-separated, distinct, positive lengths."""
+    try:
+        edges = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise UsageError(f"--buckets {text!r}: edges must be integers") from None
+    if any(e < 1 for e in edges) or len(set(edges)) != len(edges):
+        raise UsageError(f"--buckets {text!r}: edges must be distinct and positive")
+    return edges
+
+
 def cmd_eval(args) -> int:
+    edges = _bucket_edges(args.buckets)
     pairs, vocab_size = _load_corpus(args)
     state, header = _load_checkpoint(args.ckpt, vocab_size)
     outputs, removed = eval_mod._decode_corpus(state.model, state.lp, pairs)
     score = eval_mod.bleu(outputs, [p.target for p in pairs])
     removed_rows = eval_mod.removed_token_report(state.model, state.lp, pairs)
-    edges = [int(x) for x in args.buckets.split(",") if x]
     bucket_rows = eval_mod.length_bucket_bleu(state.model, state.lp, pairs, edges)
     args.out.mkdir(parents=True, exist_ok=True)
     _write_csv(

@@ -4,8 +4,8 @@ length-bucket analysis over decoded corpora.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -35,29 +35,46 @@ def bleu(
 
     With smooth=True the precisions for n >= 2 get add-one smoothing,
     which keeps small subsets away from hard zeros.
+
+    N-grams are counted corpus-wide with arrays. For each order,
+    np.unique ranks every window by its pair and its n tokens, np.bincount
+    counts the ranks of each side, and the clipped matches are the sum of
+    the elementwise minimum of the two counts.
     """
     if len(candidates) != len(references):
         raise ValueError("candidate and reference lists differ in length")
     if not candidates:
         raise ValueError("empty corpus")
-    matched = [0] * max_n
-    totals = [0] * max_n
-    cand_len = 0
-    ref_len = 0
-    for cand, ref in zip(candidates, references):
-        cand_len += len(cand)
-        ref_len += len(ref)
-        for n in range(1, max_n + 1):
-            cand_counts = Counter(
-                tuple(cand[i : i + n]) for i in range(len(cand) - n + 1)
-            )
-            ref_counts = Counter(
-                tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)
-            )
-            totals[n - 1] += max(len(cand) - n + 1, 0)
-            matched[n - 1] += sum(
-                min(c, ref_counts[g]) for g, c in cand_counts.items()
-            )
+    pairs = len(candidates)
+    lens = np.fromiter(
+        chain(map(len, candidates), map(len, references)), np.int64, 2 * pairs
+    )
+    size = int(lens.sum())
+    tokens = np.fromiter(
+        chain(chain.from_iterable(candidates), chain.from_iterable(references)),
+        np.int64,
+        size,
+    )
+    cand_len = int(lens[:pairs].sum())
+    ref_len = size - cand_len
+    # tokens from each position to the end of its sentence: the window of
+    # n tokens starting there lies inside the sentence when room >= n
+    room = np.repeat(np.cumsum(lens), lens) - np.arange(size)
+    _, rank = np.unique(tokens, return_inverse=True)
+    # code[i] ranks (pair, the n tokens from position i). It starts as the
+    # pair index; each order ranks code * size + the next token's rank,
+    # which stays below size**2 whatever the token ids
+    code = np.repeat(np.arange(2 * pairs) % pairs, lens)
+    matched, totals = [], []
+    for n in range(1, max_n + 1):
+        grams, code = np.unique(
+            code[: size - n + 1] * size + rank[n - 1 :], return_inverse=True
+        )
+        inside = room[: len(code)] >= n
+        cand = np.bincount(code[:cand_len][inside[:cand_len]], minlength=len(grams))
+        ref = np.bincount(code[cand_len:][inside[cand_len:]], minlength=len(grams))
+        matched.append(int(np.minimum(cand, ref).sum()))
+        totals.append(int(cand.sum()))
     precisions = []
     for n in range(1, max_n + 1):
         num, den = matched[n - 1], totals[n - 1]

@@ -205,9 +205,8 @@ def decode(
     T = len(source) + lp.predict_diff(enc_sum)
     T = min(max(T, 1), model.dims.p_max)
     probs, _ = model._forward_cache(source, T)
-    masked = probs.copy()
-    masked[:, PAD] = -1.0
-    return tuple(int(i) for i in np.argmax(masked, axis=1))
+    # PAD is column 0, so the argmax over the columns after it skips PAD
+    return tuple((np.argmax(probs[:, PAD + 1 :], axis=1) + PAD + 1).tolist())
 
 
 def postprocess(sent: Sequence[int]) -> tuple[tuple[int, ...], int]:

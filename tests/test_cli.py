@@ -125,6 +125,26 @@ def test_eval_outputs(tmp_path, capsys):
     assert (tmp_path / "ev" / "eval_meta.json").exists()
 
 
+@pytest.mark.parametrize("buckets", ["6,6", "0,4", "-3", "6,x"])
+def test_eval_bad_buckets_exit_2_before_decoding(
+    buckets, tmp_path, capsys, monkeypatch
+):
+    run_dir = train_once(tmp_path, capsys, "run")
+
+    def no_decoding(*args):
+        raise AssertionError("decoded before the --buckets check")
+
+    monkeypatch.setattr("bonnat.evaluate._decode_corpus", no_decoding)
+    code, out, err = run(
+        ["eval", *TASK, "--ckpt", str(run_dir / "checkpoint.bin"),
+         "--buckets", buckets, "--out", str(tmp_path / "ev")],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert re.fullmatch(r"error: --buckets [^\n]*\n", err)
+    assert not (tmp_path / "ev").exists()
+
+
 def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):
     code, _, err = run(
         ["eval", *TASK, "--ckpt", str(tmp_path / "nope.bin"),

@@ -1,10 +1,14 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bonnat.corpus import ParallelPair, SyntheticTaskSpec, generate_task
 from bonnat.evaluate import (
+    BleuScore,
     UndefinedCorrelation,
     bleu,
     correlation_study,
@@ -51,6 +55,61 @@ def test_bleu_input_validation():
         bleu([], [])
     with pytest.raises(ValueError):
         bleu([(2,)], [])
+
+
+def counter_bleu(candidates, references, smooth=False, max_n=4):
+    """Reference corpus BLEU: two Counters of n-gram tuples per sentence
+    and order, clipped sentence by sentence."""
+    matched = [0] * max_n
+    totals = [0] * max_n
+    cand_len = 0
+    ref_len = 0
+    for cand, ref in zip(candidates, references):
+        cand_len += len(cand)
+        ref_len += len(ref)
+        for n in range(1, max_n + 1):
+            cand_counts = Counter(
+                tuple(cand[i : i + n]) for i in range(len(cand) - n + 1)
+            )
+            ref_counts = Counter(
+                tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)
+            )
+            totals[n - 1] += max(len(cand) - n + 1, 0)
+            matched[n - 1] += sum(
+                min(c, ref_counts[g]) for g, c in cand_counts.items()
+            )
+    precisions = []
+    for n in range(1, max_n + 1):
+        num, den = matched[n - 1], totals[n - 1]
+        if smooth and n >= 2:
+            num, den = num + 1, den + 1
+        precisions.append(num / den if den > 0 else 0.0)
+    if cand_len == 0 or any(p == 0.0 for p in precisions):
+        bp = 0.0 if cand_len == 0 else min(1.0, math.exp(1.0 - ref_len / cand_len))
+        return BleuScore(0.0, precisions, bp, smooth)
+    bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
+    value = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+    return BleuScore(value, precisions, bp, smooth)
+
+
+@st.composite
+def bleu_corpora(draw):
+    top = draw(st.sampled_from([4, 30, 2**31 - 1]))
+    sentence = st.lists(st.integers(0, top), max_size=12).map(tuple)
+    pairs = draw(st.integers(1, 40))
+    candidates = draw(st.lists(sentence, min_size=pairs, max_size=pairs))
+    references = draw(st.lists(sentence, min_size=pairs, max_size=pairs))
+    return candidates, references
+
+
+@settings(max_examples=300, deadline=None)
+@given(bleu_corpora(), st.booleans(), st.integers(1, 4))
+def test_bleu_equals_counter_reference(corpus, smooth, max_n):
+    candidates, references = corpus
+    score = bleu(candidates, references, smooth=smooth, max_n=max_n)
+    want = counter_bleu(candidates, references, smooth=smooth, max_n=max_n)
+    assert score == want
+    assert repr(score) == repr(want)  # Python floats, as the CSVs print them
 
 
 def test_pearson_exact_lines():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bonnat import checkpoint as ckpt
-from bonnat.corpus import ParallelPair, SyntheticTaskSpec, generate_task
+from bonnat.corpus import PAD, ParallelPair, SyntheticTaskSpec, generate_task
 from bonnat.gradcheck import fd_param_gradients, worst_rel_error
 from bonnat.loss import JointConfig, bon_loss, cross_entropy, joint_loss, mix
 from bonnat.model import (
@@ -131,6 +131,34 @@ def test_decode_length_and_ids():
         out = decode(model, lp, source)
         assert 1 <= len(out) <= DIMS.p_max
         assert all(0 < i < DIMS.vocab for i in out)  # never PAD
+
+
+def masked_copy_argmax(probs):
+    """Reference argmax: PAD masked out in a copy of the table."""
+    masked = probs.copy()
+    masked[:, PAD] = -1.0
+    return tuple(int(i) for i in np.argmax(masked, axis=1))
+
+
+def test_decode_skips_pad_and_breaks_ties_like_the_masked_copy(monkeypatch):
+    model, lp = fresh(7)
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        length = int(rng.integers(1, 7))
+        source = tuple(int(x) for x in rng.integers(2, DIMS.vocab, size=length))
+        out = decode(model, lp, source)
+        probs, _ = model._forward_cache(source, len(out))
+        assert out == masked_copy_argmax(probs)
+        assert all(type(i) is int for i in out)
+    # PAD holds every row's maximum; tokens 2 and 4 tie exactly on even rows
+    table = np.full((DIMS.p_max, DIMS.vocab), 0.05)
+    table[:, PAD] = 0.4
+    table[:, 2] = table[:, 4] = 0.2
+    table[1::2, 4] = 0.25
+    monkeypatch.setattr(model, "_forward_cache", lambda source, T: (table[:T], None))
+    out = decode(model, lp, (2, 3, 4))
+    assert out == masked_copy_argmax(table[: len(out)])
+    assert out == (2, 4, 2, 4, 2, 4, 2, 4)[: len(out)]
 
 
 def small_corpus(pairs=60, seed=1):
