@@ -365,6 +365,18 @@ def test_gen_data_rejects_file_flags_and_writes_the_task(tmp_path, capsys):
     assert read == [tuple(p) for p in corpus.generate_task(spec)]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--vocab", "1000000000000"], "vocab size"),
+    (["--min-len", "1", "--max-len", str(2**32 + 1)], "length range"),
+])
+def test_gen_data_range_past_32_bits_exits_2(flags, message, tmp_path, capsys):
+    code, _, err = run(["gen-data", "--task", "copy", *flags, "--pairs", "2",
+                        "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+    assert not (tmp_path / "src.txt").exists()
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "correlate"])
 def test_checkpoint_with_smaller_vocabulary_exits_2(command, tmp_path, capsys):
     small = ["--task", "copy", "--vocab", "6", "--min-len", "2", "--max-len", "6",

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -109,6 +111,12 @@ def test_invalid_spec_rejected():
         _spec("copy", min_len=0).validate()
     with pytest.raises(corpus.CorpusError):
         _spec("blorp").validate()
+    # wider ranges are drawn from 64-bit words
+    _spec("copy", vocab_size=2**32 + 2, min_len=1, max_len=2**32).validate()
+    with pytest.raises(corpus.CorpusError, match="vocab size"):
+        _spec("copy", vocab_size=2**32 + 3).validate()
+    with pytest.raises(corpus.CorpusError, match="length range"):
+        _spec("copy", min_len=1, max_len=2**32 + 1).validate()
 
 
 def per_token_generate(spec):
@@ -159,9 +167,31 @@ def task_specs(draw):
     )
 
 
+# dict seeds whose permutation of 22 ids leaves a held half, and does not
+HELD_SEED, UNHELD_SEED = 3, 2
+
+
+def test_dict_seeds_leave_and_do_not_leave_a_held_half():
+    held = []
+    for seed in (HELD_SEED, UNHELD_SEED):
+        rng = np.random.default_rng(seed)
+        rng.permutation(np.arange(2, 24))
+        held.append(corpus._stream_start(rng)[1])
+    assert held == [1, 0]
+
+
+# the benchmark's train corpora, which cross many block edges; the first
+# starts with a held half
+@example(corpus.SyntheticTaskSpec("dict", 24, 2, 16, 1500, HELD_SEED, target_noise=0.1))
+@example(corpus.SyntheticTaskSpec("copy", 20, 2, 12, 2000, 3))
+@example(corpus.SyntheticTaskSpec("dict", 200, 16, 30, 1000, 3))
+# a dict corpus that starts without one
+@example(corpus.SyntheticTaskSpec("dict", 24, 1, 9, 80, UNHELD_SEED, target_noise=0.3))
 # V=4 leaves one choice after the first token: integers(2, 3) draws nothing
 @example(corpus.SyntheticTaskSpec("dict", 4, 1, 9, 30, 5, target_noise=0.2))
 @example(corpus.SyntheticTaskSpec("copy", 4, 6, 6, 20, 1))
+# min_len == max_len: the length draws nothing
+@example(corpus.SyntheticTaskSpec("reverse", 30, 7, 7, 60, 2, target_noise=0.3))
 @example(corpus.SyntheticTaskSpec("reverse", 200, 16, 30, 40, 3, target_noise=0.1))
 @settings(max_examples=150, deadline=None)
 @given(task_specs())
@@ -171,6 +201,61 @@ def test_generate_task_equals_per_token_draws(spec):
     assert all(
         type(tok) is int for pair in pairs for side in pair for tok in side
     )
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+def test_generate_task_redraws_exactly(noise):
+    """With 3*2^30 ids a quarter of the token and noise-id draws are
+    redrawn. The reference is per_token_generate's loop for a copy task,
+    without the V-sized id array that it builds."""
+    spec = corpus.SyntheticTaskSpec("copy", 3 * 2**30 + 2, 1, 9, 200, 7, noise)
+    lo, hi = 2, spec.vocab_size
+    rng = np.random.default_rng(spec.seed)
+    expected = []
+    for _ in range(spec.pairs):
+        length = int(rng.integers(spec.min_len, spec.max_len + 1))
+        src = [int(rng.integers(lo, hi))]
+        for _ in range(length - 1):
+            nxt = int(rng.integers(lo, hi - 1))
+            src.append(nxt + (nxt >= src[-1]))
+        tgt = src
+        if noise > 0.0:
+            noise_mask = rng.random(length) < noise
+            noise_ids = rng.integers(lo, hi, size=length).tolist()
+            tgt = [i if m else s for s, i, m in zip(src, noise_ids, noise_mask)]
+        expected.append(corpus.ParallelPair(tuple(src), tuple(tgt)))
+    assert corpus.generate_task(spec) == expected
+
+
+@pytest.mark.parametrize("held", [False, True])
+@pytest.mark.parametrize("r", [2, 22, 3 * 2**30, 2**32 - 1])
+def test_bounded_draws_equal_numpy_integers(r, held):
+    k = 2000
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    if held:  # one 32-bit draw leaves the high half of its word held
+        rng.integers(0, 5)
+        ref.integers(0, 5)
+    words, m = corpus._stream_start(rng)
+    assert m == held
+    words = np.concatenate((words, rng.bit_generator.random_raw(2 * k)))
+    draws = corpus._Bounded(corpus._halves(words), r)
+    pos = draws.end(m, np.arange(1, k + 1)) - 1
+    assert draws.value(pos).tolist() == ref.integers(0, r, size=k).tolist()
+    if r == 3 * 2**30:  # 2^32 mod r = 2^30: a quarter of the draws are redrawn
+        assert pos[-1] + 1 - m > k * 1.2
+
+
+# SHA-256 of generate_task's output: the reference test cannot see a numpy
+# release that changes Generator streams, since both sides would move
+@pytest.mark.parametrize("kind, digest", [
+    ("copy", "b262c81ed9eddbd21f1d54939d19ddb24b903e50e4256edaeb8df0c3249c36b7"),
+    ("reverse", "513fbaa68a70897238aa401d642cb2f81365123b036bfe1ebbbc27db9c5d0b7c"),
+    ("dict", "b02a70fb321f2ccbef15a9b3a00627be965dd0245a19d1e93c47306a508a2702"),
+])
+def test_generate_task_output_is_pinned(kind, digest):
+    spec = corpus.SyntheticTaskSpec(kind, 24, 2, 16, 300, 3, target_noise=0.1)
+    pairs = [tuple(p) for p in corpus.generate_task(spec)]
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == digest
 
 
 @given(st.lists(st.sampled_from(["a", "b", "c", "zz"]), max_size=20))
