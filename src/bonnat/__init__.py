@@ -4,13 +4,12 @@ with analytic gradients, a small trainable model and evaluation tools.
 """
 
 from .loss import JointConfig, LossResult, bon_l1, bon_loss, cross_entropy, joint_loss
-from .ngram import bag_l1_norm, count_ngrams
+from .ngram import count_ngrams
 from .probmodel import expected_bag, expected_ngram_count
 
 __all__ = [
     "JointConfig",
     "LossResult",
-    "bag_l1_norm",
     "bon_l1",
     "bon_loss",
     "count_ngrams",

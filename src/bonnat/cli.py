@@ -46,10 +46,11 @@ class UsageError(ValueError):
     pass
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
     p.add_argument("--config", type=Path, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=Path, default=Path("."))
+    if out:
+        p.add_argument("--out", type=Path, default=Path("."))
 
 
 def _add_task_flags(p: argparse.ArgumentParser) -> None:
@@ -113,14 +114,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--split-length", action="store_true")
 
     p = sub.add_parser("oracle-check", help="window products vs enumeration")
-    _add_common(p)
+    _add_common(p, out=False)
     p.add_argument("--vocab", type=int, default=3)
     p.add_argument("--len", type=int, default=5, dest="length")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--trials", type=int, default=100)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    _add_common(p)
+    _add_common(p, out=False)
     p.add_argument("--loss", choices=("ce", "bon", "joint"), default="bon")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--alpha", type=float, default=0.1)
@@ -130,39 +131,47 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+def _config_flags(p: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The long flags a config file may set, named without their dashes."""
+    return {
+        opt[2:]: a
+        for a in p._actions
+        for opt in a.option_strings
+        if opt.startswith("--") and opt not in ("--help", "--config")
+    }
+
+
 def _apply_config(parser, commands, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config is None:
         return args
     cfg = configparser.ConfigParser()
-    read = cfg.read(args.config)
-    if not read:
+    if not cfg.read(args.config):
         raise UsageError(f"config file not found: {args.config}")
-    sub = commands[args.command]
-    actions = {a.dest: a for a in sub._actions}
+    flags = _config_flags(commands[args.command])
     # a [common] key applies to the commands that have its flag; it is
     # unknown only if no command has it
-    every_flag = {a.dest for c in commands.values() for a in c._actions}
-    defaults: dict[str, str] = {}
-    for section, keys in (("common", every_flag), (args.command, set(actions))):
+    every_flag = set().union(*map(_config_flags, commands.values()))
+    values: dict[str, str] = {}
+    for section, keys in (("common", every_flag), (args.command, set(flags))):
         if cfg.has_section(section):
-            items = {k.replace("-", "_"): v for k, v in cfg.items(section)}
+            items = {k.replace("_", "-"): v for k, v in cfg.items(section)}
             bad = set(items) - keys
             if bad:
                 raise UsageError(f"unknown config keys: {sorted(bad)}")
-            defaults.update((k, v) for k, v in items.items() if k in actions)
-    if defaults:
-        # re-parse so explicit flags still win over file values
-        typed = {}
-        for dest, val in defaults.items():
-            action = actions[dest]
-            if action.nargs == 0:  # a switch such as --split-length
-                typed[dest] = val.lower() in ("1", "true", "yes")
-            else:
-                typed[dest] = val if action.type is None else action.type(val)
-        sub.set_defaults(**typed)
-        args = parser.parse_args(argv)
-    return args
+            values.update((k, v) for k, v in items.items() if k in flags)
+    # the file's values become flags ahead of the user's own, which win
+    # because argparse keeps the last value
+    tokens = []
+    for key, val in values.items():
+        if flags[key].nargs != 0:
+            tokens.append(f"--{key}={val}")
+        elif val.lower() not in cfg.BOOLEAN_STATES:  # a switch: --split-length
+            raise UsageError(f"--{key}: config value {val!r} is not a boolean")
+        elif cfg.BOOLEAN_STATES[val.lower()]:
+            tokens.append(f"--{key}")
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _task_spec(args) -> corpus_mod.SyntheticTaskSpec:
@@ -384,7 +393,22 @@ def cmd_correlate(args) -> int:
     return EXIT_OK
 
 
+def _check_sizes(args, min_vocab: int, windows: bool = True) -> None:
+    """Sizes at which every trial checks something; with `windows`, an
+    n-gram of order --n must fit in the --len rows."""
+    lows = [("--vocab", args.vocab, min_vocab), ("--len", args.length, 1),
+            ("--trials", args.trials, 1)]
+    if windows:
+        lows.append(("--n", args.n, 1))
+    for flag, value, low in lows:
+        if value < low:
+            raise UsageError(f"{flag} must be at least {low}, got {value}")
+    if windows and args.n > args.length:
+        raise UsageError(f"--n {args.n} exceeds --len {args.length}")
+
+
 def cmd_oracle_check(args) -> int:
+    _check_sizes(args, min_vocab=1)
     V, T, n = args.vocab, args.length, args.n
     if V**T > ORACLE_GUARD:
         raise UsageError(f"search space {V}^{T} exceeds the enumeration guard")
@@ -415,6 +439,10 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    # with one column every reference gram is a tie, which resampling
+    # never escapes; CE reads neither --n nor ties
+    bon = args.loss != "ce"
+    _check_sizes(args, min_vocab=2 if bon else 1, windows=bon)
     rng = np.random.default_rng(args.seed)
     V, T, n = args.vocab, args.length, args.n
 
@@ -431,7 +459,7 @@ def cmd_gradcheck(args) -> int:
     while done < args.trials:
         table = random_table(rng, T, V)
         ref = tuple(int(x) for x in rng.integers(0, V, size=T))
-        if args.loss != "ce" and min_tie_gap(table, ref, n) < 1e-6:
+        if bon and min_tie_gap(table, ref, n) < 1e-6:
             resampled += 1
             continue
         res = loss_fn(table, ref)
@@ -439,10 +467,11 @@ def cmd_gradcheck(args) -> int:
         worst = max(worst, worst_rel_error(res.grad, fd))
         done += 1
 
-    # parameter-level check through the tiny model
-    model = tiny_model(args.seed, vocab=max(V, 4))
+    # parameter-level check through the tiny model; the reference holds an n-gram
+    ref_len = max(3, n) if bon else 3
+    model = tiny_model(args.seed, vocab=max(V, 4), p_max=max(8, ref_len))
     source = tuple(int(x) for x in rng.integers(2, model.dims.vocab, size=3))
-    ref = tuple(int(x) for x in rng.integers(2, model.dims.vocab, size=3))
+    ref = tuple(int(x) for x in rng.integers(2, model.dims.vocab, size=ref_len))
 
     def model_loss() -> float:
         probs, _ = model._forward_cache(source, len(ref))

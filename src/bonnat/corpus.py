@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -53,20 +52,6 @@ class Vocabulary:
 class ParallelPair(NamedTuple):
     source: tuple[int, ...]
     target: tuple[int, ...]
-
-
-def build_vocab(lines: Sequence[Sequence[str]], max_size: int) -> Vocabulary:
-    """Keep the most frequent tokens, ties broken by first occurrence."""
-    counts: Counter[str] = Counter()
-    first_seen: dict[str, int] = {}
-    for line in lines:
-        for tok in line:
-            counts[tok] += 1
-            first_seen.setdefault(tok, len(first_seen))
-    if not counts:
-        raise CorpusError("empty corpus")
-    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
-    return Vocabulary(ranked[: max(0, max_size - 2)])
 
 
 def encode(line: Sequence[str], vocab: Vocabulary) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ length-bucket analysis over decoded corpora.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -15,6 +16,8 @@ from .loss import bon_loss, cross_entropy
 from .model import LengthPredictor, NatModel, decode, postprocess
 
 MAX_BLEU_ORDER = 4
+# the BoN orders whose losses correlation_study correlates with BLEU
+CORRELATION_ORDERS = (1, 2, 3, 4)
 
 
 @dataclass
@@ -22,7 +25,6 @@ class BleuScore:
     value: float
     precisions: list[float]
     brevity_penalty: float
-    smoothed: bool
 
 
 def bleu(
@@ -83,10 +85,10 @@ def bleu(
         precisions.append(num / den if den > 0 else 0.0)
     if cand_len == 0 or any(p == 0.0 for p in precisions):
         bp = 0.0 if cand_len == 0 else min(1.0, math.exp(1.0 - ref_len / cand_len))
-        return BleuScore(0.0, precisions, bp, smooth)
+        return BleuScore(0.0, precisions, bp)
     bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
     value = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
-    return BleuScore(value, precisions, bp, smooth)
+    return BleuScore(value, precisions, bp)
 
 
 class UndefinedCorrelation(ValueError):
@@ -116,7 +118,6 @@ class CorrelationReport:
     loss_name: str
     subsets: int
     subset_size: int
-    pairs: list[tuple[float, float]]  # (mean loss, subset BLEU)
     r: float | None
     error: str | None = None
 
@@ -135,18 +136,18 @@ def _decode_corpus(
 
 
 def _sentence_loss_table(
-    model: NatModel, corpus: Sequence[ParallelPair], n_values: Sequence[int]
+    model: NatModel, corpus: Sequence[ParallelPair]
 ) -> dict[str, list[float]]:
     """Per-sentence losses at T = reference length: length-normalized CE
-    plus one BoN loss per requested order."""
+    plus one BoN loss per order in CORRELATION_ORDERS."""
     table: dict[str, list[float]] = {"ce": []}
-    for n in n_values:
+    for n in CORRELATION_ORDERS:
         table[f"bon{n}"] = []
     for pair in corpus:
         probs = model.forward(pair.source, len(pair.target)).probs
         ce = cross_entropy(probs, pair.target)
         table["ce"].append(ce.value / len(pair.target))
-        for n in n_values:
+        for n in CORRELATION_ORDERS:
             table[f"bon{n}"].append(
                 bon_loss(probs, pair.target, n, grad=False).value
             )
@@ -160,7 +161,6 @@ def correlation_study(
     subsets: int,
     subset_size: int,
     seed: int,
-    n_values: Sequence[int] = (1, 2, 3, 4),
 ) -> list[CorrelationReport]:
     """Random disjoint subsets; per subset, decode for BLEU and average
     the per-sentence losses; Pearson r between the two series per loss.
@@ -175,7 +175,7 @@ def correlation_study(
         )
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(corpus))[:need]
-    loss_names = ["ce"] + [f"bon{n}" for n in n_values]
+    loss_names = ["ce"] + [f"bon{n}" for n in CORRELATION_ORDERS]
     series: dict[str, list[float]] = {name: [] for name in loss_names}
     bleus: list[float] = []
     for s in range(subsets):
@@ -183,7 +183,7 @@ def correlation_study(
         subset = [corpus[int(i)] for i in idx]
         outputs, _ = _decode_corpus(model, lp, subset)
         bleus.append(bleu(outputs, [p.target for p in subset], smooth=True).value)
-        losses = _sentence_loss_table(model, subset, n_values)
+        losses = _sentence_loss_table(model, subset)
         for name in loss_names:
             series[name].append(float(np.mean(losses[name])))
     reports = []
@@ -198,7 +198,6 @@ def correlation_study(
                 loss_name=name,
                 subsets=subsets,
                 subset_size=subset_size,
-                pairs=list(zip(series[name], bleus)),
                 r=r,
                 error=err,
             )
@@ -272,13 +271,8 @@ def length_bucket_bleu(
     edges = sorted(edges)
     buckets: list[list[ParallelPair]] = [[] for _ in range(len(edges) + 1)]
     for pair in corpus:
-        L = len(pair.target)
-        for b, edge in enumerate(edges):
-            if L <= edge:
-                buckets[b].append(pair)
-                break
-        else:
-            buckets[-1].append(pair)
+        # the first bucket whose edge is at least the length, else overflow
+        buckets[bisect.bisect_left(edges, len(pair.target))].append(pair)
     labels = []
     prev = 0
     for edge in edges:

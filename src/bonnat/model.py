@@ -179,20 +179,16 @@ class LengthPredictor:
         """CE on the clamped difference class; also returns the gradient
         w.r.t. the summed encoder states so it can flow to embeddings.
 
-        `enc_sum` is one sentence's d-vector with an int `diff`, or a
-        G x d stack with G diffs: the loss value and the parameter
-        gradients are then sums over the G sentences.
+        `enc_sum` is a G x d stack of sentences with G diffs: the loss
+        value and the parameter gradients are sums over the G sentences.
         """
         cls_idx = np.clip(diff, -self.dl_max, self.dl_max) + self.dl_max
         probs = self.class_probs(enc_sum)
-        target = np.arange(probs.shape[-1]) == np.expand_dims(cls_idx, -1)
-        picked = (probs * target).sum(axis=-1)
+        target = np.arange(probs.shape[1]) == cls_idx[:, None]
+        picked = (probs * target).sum(axis=1)
         value = float(-np.log(np.maximum(picked, 1e-12)).sum())
         dlogits = probs - target
-        grads = {
-            "lp_w": np.atleast_2d(enc_sum).T @ np.atleast_2d(dlogits),
-            "lp_b": np.atleast_2d(dlogits).sum(axis=0),
-        }
+        grads = {"lp_w": enc_sum.T @ dlogits, "lp_b": dlogits.sum(axis=0)}
         d_enc_sum = dlogits @ self.params["lp_w"].T
         return value, grads, d_enc_sum
 

@@ -6,7 +6,7 @@ holds expected counts computed from probability tables.
 """
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 Ngram = tuple[int, ...]
 NgramBag = dict[Ngram, float]
@@ -21,8 +21,4 @@ def count_ngrams(sentence: Sequence[int], n: int) -> NgramBag:
         g = tuple(sentence[t : t + n])
         bag[g] = bag.get(g, 0.0) + 1.0
     return bag
-
-
-def bag_l1_norm(bag: Mapping[Ngram, float]) -> float:
-    return float(sum(bag.values()))
 

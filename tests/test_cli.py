@@ -1,13 +1,19 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bonnat
 from bonnat import checkpoint as ckpt
-from bonnat import corpus
+from bonnat import cli, corpus
 from bonnat.cli import main
+from bonnat.model import NatModel
 
 TASK = ["--task", "copy", "--vocab", "12", "--min-len", "2", "--max-len", "6",
         "--pairs", "120"]
@@ -269,6 +275,70 @@ def test_gradcheck_passes(loss, capsys):
     assert "worst_rel_err" in out
 
 
+def no_trials(*_):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle-check", "--len", "0"], "--len"),
+    (["oracle-check", "--n", "9"], "--n 9 exceeds --len 5\n"),
+    (["oracle-check", "--n", "0"], "--n"),
+    (["oracle-check", "--vocab", "0"], "--vocab"),
+    (["oracle-check", "--trials", "0"], "--trials"),
+    (["gradcheck", "--len", "1", "--n", "2", "--vocab", "2"], "--n 2 exceeds --len 1\n"),
+    (["gradcheck", "--trials", "0"], "--trials"),
+    (["gradcheck", "--len", "0"], "--len"),
+    (["gradcheck", "--loss", "ce", "--len", "0"], "--len"),
+    (["gradcheck", "--loss", "joint", "--vocab", "1"], "--vocab"),
+])
+def test_verification_sizes_exit_2_before_any_trial(argv, flag, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "random_table", no_trials)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("loss", ["bon", "joint"])
+def test_gradcheck_one_column_returns(loss):
+    # one column makes every reference gram a tie: resampling never ends
+    env = {**os.environ, "PYTHONPATH": str(Path(bonnat.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bonnat.cli", "gradcheck", "--vocab", "1",
+         "--loss", loss],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: --vocab must be at least 2, got 1\n"
+
+
+def test_gradcheck_model_check_reference_holds_an_ngram(capsys, monkeypatch):
+    # at n = 5 the parameter-level check runs at T = 5, not T = 3, where
+    # the BoN loss and its gradient would be zero
+    lengths = []
+    forward = NatModel._forward_cache
+
+    def spy(self, source, T):
+        lengths.append(T)
+        return forward(self, source, T)
+
+    monkeypatch.setattr(NatModel, "_forward_cache", spy)
+    code, out, _ = run(
+        ["gradcheck", "--n", "5", "--len", "5", "--vocab", "2", "--trials", "1"],
+        capsys,
+    )
+    assert code == 0 and "status=ok" in out
+    assert set(lengths) == {5}
+
+
+@pytest.mark.parametrize("command", ["oracle-check", "gradcheck"])
+def test_verification_commands_have_no_out_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out x" in capsys.readouterr().err
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(
@@ -329,6 +399,61 @@ def test_unknown_common_config_key_exits_2(tmp_path, capsys):
     code, _, err = run(["gradcheck", "--config", str(cfg)], capsys)
     assert code == 2
     assert "unknown config keys" in err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("gradcheck", "[gradcheck]\nloss = foo\n", "argument --loss: invalid choice: 'foo'"),
+    ("train", "[train]\nvocab = abc\n", "argument --vocab: invalid int value: 'abc'"),
+])
+def test_config_value_the_flag_rejects_exits_2(command, text, message, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_keys_are_the_long_flag_names(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[oracle-check]\nlen = 4\nn = 3\ntrials = 3\n")
+    code, out, err = run(["oracle-check", "--config", str(cfg)], capsys)
+    assert code == 0, err
+    assert out == run(["oracle-check", "--len", "4", "--n", "3", "--trials", "3"],
+                      capsys)[1]
+    # the dest behind --len, and --config itself, are not keys
+    for key in ("length = 4", "config = other.ini"):
+        cfg.write_text(f"[oracle-check]\n{key}\n")
+        code, _, err = run(["oracle-check", "--config", str(cfg)], capsys)
+        assert code == 2 and "unknown config keys" in err
+
+
+def test_config_switch_takes_configparser_booleans(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[correlate]\nsplit-length = maybe\n")
+    code, out, err = run(
+        ["correlate", "--config", str(cfg), "--ckpt", "x.bin", *TASK], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --split-length: config value 'maybe' is not a boolean\n"
+    run_dir = train_once(tmp_path, capsys, "run")
+    base = ["correlate", "--ckpt", str(run_dir / "checkpoint.bin"), *TASK,
+            "--subsets", "4", "--subset-size", "10"]
+    assert run([*base, "--split-length", "--out", str(tmp_path / "c1")], capsys)[0] == 0
+    # a [correlate] value overrides the [common] one
+    for name, common, own in (("c2", "off", "on"), ("c3", "on", "no")):
+        cfg.write_text(
+            f"[common]\nsplit-length = {common}\n[correlate]\nsplit-length = {own}\n"
+        )
+        code, _, err = run([*base, "--config", str(cfg), "--out", str(tmp_path / name)],
+                           capsys)
+        assert code == 0, err
+    c1, c2, c3 = (
+        (tmp_path / name / "correlation.csv").read_text() for name in ("c1", "c2", "c3")
+    )
+    assert c2 == c1 and c3 != c1
+    assert "short" in c1 and "short" not in c3
 
 
 REQUIRED = {"eval": ["--ckpt", "x.bin"], "correlate": ["--ckpt", "x.bin"]}

@@ -8,51 +8,20 @@ from hypothesis import strategies as st
 from bonnat import corpus
 
 
-def test_build_vocab_frequency_order():
-    vocab = corpus.build_vocab([["a", "b"], ["a"]], max_size=10)
-    assert vocab.tokens == ["<pad>", "<unk>", "a", "b"]
-    assert vocab.id("a") == 2
-
-
-def test_build_vocab_single_token():
-    vocab = corpus.build_vocab([["x"]], max_size=3)
-    assert vocab.size == 3
-    assert vocab.tokens == ["<pad>", "<unk>", "x"]
-
-
-def test_build_vocab_truncates_with_tie_break():
-    # 100 distinct tokens with descending frequency; independent oracle:
-    # sort by (-count, first occurrence) and truncate to 48 non-reserved
-    lines = []
-    for i in range(100):
-        lines.extend([[f"tok{i}"]] * (100 - i))
-    counts = {f"tok{i}": 100 - i for i in range(100)}
-    first = {f"tok{i}": i for i in range(100)}
-    expected = sorted(counts, key=lambda t: (-counts[t], first[t]))[:48]
-    vocab = corpus.build_vocab(lines, max_size=50)
-    assert vocab.size == 50
-    assert vocab.tokens[2:] == expected
-
-
-def test_build_vocab_empty_corpus():
-    with pytest.raises(corpus.CorpusError, match="empty corpus"):
-        corpus.build_vocab([], max_size=10)
-
-
 def test_encode_oov_and_empty():
-    vocab = corpus.build_vocab([["a"]], max_size=10)
+    vocab = corpus.Vocabulary(["a"])
     assert corpus.encode(["a", "zzz"], vocab) == (vocab.id("a"), corpus.UNK)
     assert corpus.encode([], vocab) == ()
 
 
 def test_encode_decode_round_trip():
-    vocab = corpus.build_vocab([["a", "b", "c"]], max_size=10)
+    vocab = corpus.Vocabulary(["a", "b", "c"])
     line = ["c", "a", "b", "a"]
     assert corpus.decode_tokens(corpus.encode(line, vocab), vocab) == line
 
 
 def test_vocab_file_round_trip(tmp_path):
-    vocab = corpus.build_vocab([["a", "b"], ["a"]], max_size=10)
+    vocab = corpus.Vocabulary(["a", "b"])
     vocab.save(tmp_path / "vocab.txt")
     lines = (tmp_path / "vocab.txt").read_text().splitlines()
     assert lines[0] == "<pad>" and lines[1] == "<unk>"
@@ -260,5 +229,5 @@ def test_generate_task_output_is_pinned(kind, digest):
 
 @given(st.lists(st.sampled_from(["a", "b", "c", "zz"]), max_size=20))
 def test_encode_ids_below_vocab_size(line):
-    vocab = corpus.build_vocab([["a", "b", "c"]], max_size=5)
+    vocab = corpus.Vocabulary(["a", "b", "c"])
     assert all(i < vocab.size for i in corpus.encode(line, vocab))

@@ -84,13 +84,14 @@ def test_end_to_end_gradients_match_finite_differences():
 def test_length_predictor_gradients():
     model, lp = fresh(5)
     source = (2, 3)
-    enc_sum = model.encoder_states(source).sum(axis=0)
-    value, grads, _ = lp.loss_and_grads(enc_sum, diff=1)
+    enc_sum = model.encoder_states(source).sum(axis=0, keepdims=True)
+    value, grads, _ = lp.loss_and_grads(enc_sum, diff=np.array([1]))
     assert value > 0
 
     def lp_value():
         return lp.loss_and_grads(
-            model.encoder_states(source).sum(axis=0), diff=1
+            model.encoder_states(source).sum(axis=0, keepdims=True),
+            diff=np.array([1]),
         )[0]
 
     numeric = fd_param_gradients(lp_value, lp.params, step=1e-5)
@@ -100,7 +101,7 @@ def test_length_predictor_gradients():
 
 def test_length_predictor_clamps_out_of_range():
     _, lp = fresh(5)
-    value, _, _ = lp.loss_and_grads(np.zeros(DIMS.d), diff=99)
+    value, _, _ = lp.loss_and_grads(np.zeros((1, DIMS.d)), diff=np.array([99]))
     assert np.isfinite(value)
 
 
@@ -276,12 +277,12 @@ def per_sentence_gradients(model, lp, pairs, ce_weight, n):
         bon_sum += bon.value
         for k, g in model.backward(cache, mix(ce_weight, ce.grad, bon.grad)).items():
             grads[k] += g
-        enc_sum = model.encoder_states(pair.source).sum(axis=0)
-        diff = len(pair.target) - len(pair.source)
+        enc_sum = model.encoder_states(pair.source).sum(axis=0, keepdims=True)
+        diff = np.array([len(pair.target) - len(pair.source)])
         _, lp_grads, d_enc_sum = lp.loss_and_grads(enc_sum, diff)
         for k, g in lp_grads.items():
             grads[k] += g
-        np.add.at(grads["src_emb"], np.asarray(pair.source), d_enc_sum)
+        np.add.at(grads["src_emb"], np.asarray(pair.source), d_enc_sum[0])
     return grads, ce_sum, bon_sum
 
 
