@@ -14,6 +14,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -260,7 +261,27 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
+def _check_at_least(lows) -> None:
+    """Each (flag, value, low) with value < low is a usage error."""
+    for flag, value, low in lows:
+        if value < low:
+            raise UsageError(f"{flag} must be at least {low}, got {value}")
+
+
+def _check_train_flags(args) -> None:
+    """The model and optimiser flags, checked before any work."""
+    _check_at_least([
+        ("--dim", args.dim, 1), ("--hidden", args.hidden, 1),
+        ("--p-max", args.p_max, 1), ("--dl-max", args.dl_max, 0),
+        ("--steps", args.steps, 1), ("--ft-steps", args.ft_steps, 0),
+        ("--batch", args.batch, 1),
+    ])
+    if not (math.isfinite(args.lr) and args.lr > 0.0):
+        raise UsageError(f"--lr must be finite and positive, got {args.lr}")
+
+
 def cmd_train(args) -> int:
+    _check_train_flags(args)
     pairs, vocab_size = _load_corpus(args)
     config = TrainConfig(
         schedule=args.schedule,
@@ -357,6 +378,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_correlate(args) -> int:
+    # a Pearson r needs two subsets in each scope
+    scopes = 2 if args.split_length else 1
+    if args.subsets // scopes < 2:
+        split = " with --split-length" if args.split_length else ""
+        raise UsageError(
+            f"--subsets must be at least {2 * scopes}{split}, got {args.subsets}"
+        )
+    _check_at_least([("--subset-size", args.subset_size, 1)])
     pairs, vocab_size = _load_corpus(args)
     state, _ = _load_checkpoint(args.ckpt, vocab_size)
     if args.subsets * args.subset_size > len(pairs):
@@ -400,9 +429,7 @@ def _check_sizes(args, min_vocab: int, windows: bool = True) -> None:
             ("--trials", args.trials, 1)]
     if windows:
         lows.append(("--n", args.n, 1))
-    for flag, value, low in lows:
-        if value < low:
-            raise UsageError(f"{flag} must be at least {low}, got {value}")
+    _check_at_least(lows)
     if windows and args.n > args.length:
         raise UsageError(f"--n {args.n} exceeds --len {args.length}")
 

@@ -14,6 +14,7 @@ import numpy as np
 from .corpus import ParallelPair
 from .loss import bon_loss, cross_entropy
 from .model import LengthPredictor, NatModel, decode, postprocess
+from .ngram import rank_windows
 
 MAX_BLEU_ORDER = 4
 # the BoN orders whose losses correlation_study correlates with BLEU
@@ -39,7 +40,7 @@ def bleu(
     which keeps small subsets away from hard zeros.
 
     N-grams are counted corpus-wide with arrays. For each order,
-    np.unique ranks every window by its pair and its n tokens, np.bincount
+    `rank_windows` ranks every window by its pair and its n tokens, np.bincount
     counts the ranks of each side, and the clipped matches are the sum of
     the elementwise minimum of the two counts.
     """
@@ -62,19 +63,14 @@ def bleu(
     # tokens from each position to the end of its sentence: the window of
     # n tokens starting there lies inside the sentence when room >= n
     room = np.repeat(np.cumsum(lens), lens) - np.arange(size)
-    _, rank = np.unique(tokens, return_inverse=True)
-    # code[i] ranks (pair, the n tokens from position i). It starts as the
-    # pair index; each order ranks code * size + the next token's rank,
-    # which stays below size**2 whatever the token ids
-    code = np.repeat(np.arange(2 * pairs) % pairs, lens)
+    # code[i] ranks (pair, the n tokens from position i): a candidate and
+    # its reference share the pair's key
+    pair = np.repeat(np.arange(2 * pairs) % pairs, lens)
     matched, totals = [], []
-    for n in range(1, max_n + 1):
-        grams, code = np.unique(
-            code[: size - n + 1] * size + rank[n - 1 :], return_inverse=True
-        )
+    for n, (k, code) in enumerate(rank_windows(tokens, pair, max_n), start=1):
         inside = room[: len(code)] >= n
-        cand = np.bincount(code[:cand_len][inside[:cand_len]], minlength=len(grams))
-        ref = np.bincount(code[cand_len:][inside[cand_len:]], minlength=len(grams))
+        cand = np.bincount(code[:cand_len][inside[:cand_len]], minlength=k)
+        ref = np.bincount(code[cand_len:][inside[cand_len:]], minlength=k)
         matched.append(int(np.minimum(cand, ref).sum()))
         totals.append(int(cand.sum()))
     precisions = []

@@ -11,8 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .ngram import count_ngrams
-from .probmodel import expected_bag, expected_count_gradient
+from .ngram import count_ngrams, ragged_supports
+from .probmodel import expected_bag, expected_count_gradient, expected_counts
 
 LOG_CLAMP = 1e-12
 
@@ -52,6 +52,27 @@ def cross_entropy(table, ref: Sequence[int]) -> LossResult:
     return LossResult(value=value, grad=grad)
 
 
+def _match_and_grad(p, sentences, sent, grams, ref_counts, expected, spans, grad):
+    """Per-sentence matches of a stack of `sentences` sentences, and the
+    stacked gradient of their BoN-L1 (None without `grad`), from the
+    reference support of each: n-gram grams[j] of sentence sent[j],
+    counted ref_counts[j] times in the reference and expected[j] times in
+    the table over the rows `spans` gives it."""
+    # added in support order, as a running sum would
+    match = np.bincount(
+        sent, weights=np.minimum(expected, ref_counts), minlength=sentences
+    )
+    if not grad:
+        return match, None
+    active = expected <= ref_counts
+    if spans is not None:
+        spans = (spans[0][active], spans[1][active])
+    grams = np.array(grams, dtype=np.intp, ndmin=2)[active]
+    # doubling is exact, so this equals subtracting 2x each gram's
+    # gradient in turn from zero
+    return match, 0.0 - 2.0 * expected_count_gradient(p, grams, spans)
+
+
 def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
     """L1 distance between expected and reference bags: 2(T-n+1-match).
 
@@ -67,29 +88,73 @@ def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
         return LossResult(value=0.0, grad=zero, degenerate=True)
     ref_bag = count_ngrams(ref, n)
     model_bag = expected_bag(p, ref_bag)
-    expected = np.fromiter(model_bag.values(), float, len(model_bag))
-    ref_counts = np.fromiter(ref_bag.values(), float, len(ref_bag))
-    # added in support order, as a running sum would
-    match = float(np.minimum(expected, ref_counts).cumsum()[-1])
+    k = len(ref_bag)
+    match, dp = _match_and_grad(
+        p, 1, np.zeros(k, dtype=np.intp), list(ref_bag),
+        np.fromiter(ref_bag.values(), float, k),
+        np.fromiter(model_bag.values(), float, k),
+        None, grad,
+    )
+    match = float(match[0])
     # match <= T-n+1 holds exactly; clamp the float rounding residue so
     # the loss (and its [0,1] normalization) cannot go negative
     value = max(0.0, 2.0 * (T - n + 1 - match))
-    if not grad:
-        return LossResult(value=value, grad=None, match=match)
-    active = np.array(list(ref_bag), dtype=np.intp)[expected <= ref_counts]
-    # doubling is exact, so this equals subtracting 2x each gram's
-    # gradient in turn from zero
-    dp = 0.0 - 2.0 * expected_count_gradient(p, active)
     return LossResult(value=value, grad=dp, match=match)
 
 
-def bon_loss(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
-    """BoN-L1 normalized to [0, 1] by the constant 2(T-n+1)."""
-    raw = bon_l1(table, ref, n, grad)
+@dataclass
+class GroupLoss:
+    """Normalized BoN losses of a stack of sentences."""
+
+    values: np.ndarray  # one per sentence, 0 for a degenerate one
+    value: float  # their sum, added in sentence order
+    grad: np.ndarray | None  # stacked like the table; None without grad
+    degenerate: int  # sentences shorter than n
+
+
+def _group_bon_loss(p, ref, n, grad, lengths) -> GroupLoss:
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if len(ref) != p.shape[0] or lengths.sum() != len(ref):
+        raise ValueError("a stack needs one reference token per table row")
+    ref = np.asarray(ref, dtype=np.intp)
+    sent, first, ref_counts = ragged_supports(ref, lengths, n)
+    grams = ref[first[:, None] + np.arange(n)]
+    starts = np.cumsum(lengths) - lengths
+    spans = (starts[sent], lengths[sent])
+    expected = expected_counts(p, grams, spans)
+    match, dp = _match_and_grad(p, len(lengths), sent, grams, ref_counts,
+                                expected, spans, grad)
+    windows = lengths - n + 1
+    # bon_l1's value, elementwise: fmax(x, 0.0) is max(0.0, x), which is
+    # 0 unless x > 0, NaN included
+    value = np.fmax(2.0 * (windows - match), 0.0)
+    # a degenerate sentence's value and rows are 0, whatever the divisor
+    scale = 2.0 * np.maximum(windows, 1)
+    values = value / scale
+    if dp is not None:
+        dp /= np.repeat(scale, lengths)[:, None]
+    return GroupLoss(values, sum(values.tolist()), dp, int((lengths < n).sum()))
+
+
+def bon_loss(
+    table, ref: Sequence[int], n: int, grad: bool = True, lengths=None
+) -> LossResult | GroupLoss:
+    """BoN-L1 normalized to [0, 1] by the constant 2(T-n+1).
+
+    With `lengths`, `table` stacks the tables of len(lengths) sentences,
+    one after another, and `ref` their references, one token per row:
+    the result is a `GroupLoss` whose values and gradient rows equal, bit
+    for bit, this function's on each sentence's rows. Every sentence's
+    support comes from one ranking of the stack's windows and its counts
+    and gradient from one kernel call each.
+    """
+    p = np.asarray(table, dtype=float)
+    if lengths is not None:
+        return _group_bon_loss(p, ref, n, grad, lengths)
+    raw = bon_l1(p, ref, n, grad)
     if raw.degenerate:
         return raw
-    T = np.asarray(table, dtype=float).shape[0]
-    scale = 2.0 * (T - n + 1)
+    scale = 2.0 * (p.shape[0] - n + 1)
     return LossResult(
         value=raw.value / scale,
         grad=None if raw.grad is None else raw.grad / scale,

@@ -334,26 +334,20 @@ def _group_gradients(
     probs, cache = model.forward_rows(copied, pos)
     ce = cross_entropy(probs, target)
     # a phase of CE weight 1 only logs the BoN value
-    bons = [
-        bon_loss(probs[a : a + T], pair.target, n, grad=ce_weight < 1.0)
-        for pair, a, T in zip(pairs, tgt_start, tgt_len)
-    ]
-    if not np.isfinite(ce.value) or not all(np.isfinite(b.value) for b in bons):
+    bon = bon_loss(probs, target, n, grad=ce_weight < 1.0, lengths=tgt_len)
+    if not np.isfinite(ce.value) or not np.isfinite(bon.values).all():
         for j, (pair, a, T) in enumerate(zip(pairs, tgt_start, tgt_len)):
             sent_ce = cross_entropy(probs[a : a + T], pair.target)
-            if not np.isfinite(sent_ce.value) or not np.isfinite(bons[j].value):
+            if not np.isfinite(sent_ce.value) or not np.isfinite(bon.values[j]):
                 return BatchGradients({}, ce.value, 0.0, 0, j)
-    bon_grad = np.concatenate([b.grad for b in bons]) if ce_weight < 1.0 else None
-    grads = model.backward(cache, mix(ce_weight, ce.grad, bon_grad))
+    grads = model.backward(cache, mix(ce_weight, ce.grad, bon.grad))
     enc_sum = np.add.reduceat(model.encoder_states(source), src_start, axis=0)
     _, lp_grads, d_enc_sum = lp.loss_and_grads(enc_sum, tgt_len - src_len)
     grads.update(lp_grads)
     grads["src_emb"] += _scatter_rows(
         source, np.repeat(d_enc_sum, src_len, axis=0), len(grads["src_emb"])
     )
-    bon = sum(b.value for b in bons)
-    degenerate = sum(b.degenerate for b in bons)
-    return BatchGradients(grads, ce.value, bon, degenerate, None)
+    return BatchGradients(grads, ce.value, bon.value, bon.degenerate, None)
 
 
 def batch_gradients(
@@ -365,9 +359,11 @@ def batch_gradients(
 ) -> BatchGradients:
     """Gradients of w * CE + (1 - w) * BoN and of the length predictor's
     CE, summed over `pairs`. The model is position-wise, so each row
-    group gets one forward, CE, backward and length-predictor call, and
-    BoN runs per sentence on row views. Stops at the first group holding
-    a non-finite loss and returns the position of that sentence."""
+    group gets one forward, CE, BoN, backward and length-predictor call;
+    the group's BoN call ranks every sentence's reference n-grams at once
+    and runs the count and gradient kernels once over all of them. Stops
+    at the first group holding a non-finite loss and returns the position
+    of that sentence."""
     lengths = [len(pair.target) for pair in pairs]
     for T in lengths:
         model.check_length(T)

@@ -3,10 +3,16 @@
 A bag is a plain dict mapping an n-gram (tuple of token ids) to a
 positive count. Counts are stored as floats so the same container also
 holds expected counts computed from probability tables.
+
+Many sentences at once are counted with arrays: `rank_windows` gives
+each window an integer rank, and `ragged_supports` turns the ranks into
+every sentence's bag, in `count_ngrams`' key order.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 Ngram = tuple[int, ...]
 NgramBag = dict[Ngram, float]
@@ -22,3 +28,54 @@ def count_ngrams(sentence: Sequence[int], n: int) -> NgramBag:
         bag[g] = bag.get(g, 0.0) + 1.0
     return bag
 
+
+def rank_windows(
+    tokens: np.ndarray, key: np.ndarray, max_n: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """For each order n = 1..max_n, (k, code): code[i] in [0, k) ranks
+    the pair (key[i], tokens[i : i + n]) among the windows that start at
+    i = 0..len(tokens) - n. Windows run across sentence ends; callers
+    keep the ones that fit.
+
+    Each order ranks code * size + the next token's rank, so codes stay
+    below size**2 (key * size for the first order) whatever the token ids.
+    """
+    size = len(tokens)
+    _, rank = np.unique(tokens, return_inverse=True)
+    code = np.asarray(key, dtype=np.int64)
+    for n in range(1, max_n + 1):
+        grams, code = np.unique(
+            code[: size - n + 1] * size + rank[n - 1 :], return_inverse=True
+        )
+        yield len(grams), code
+
+
+def ragged_supports(
+    tokens: np.ndarray, lengths: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`count_ngrams` of every sentence of a stack, as arrays.
+
+    `tokens` holds the sentences one after another, `lengths` their
+    lengths. Returns, for each distinct (sentence, n-gram), its sentence,
+    the position in `tokens` of its first window and its count (float),
+    ordered by sentence and, within one, by first occurrence.
+    """
+    if n < 1:
+        raise ValueError("n-gram order must be at least 1")
+    lengths = np.asarray(lengths, dtype=np.int64)
+    size = int(lengths.sum())
+    if size < n:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, np.zeros(0)
+    sent = np.repeat(np.arange(len(lengths)), lengths)
+    for _, code in rank_windows(tokens, sent, n):
+        pass  # keep the last order's ranks, (sentence, n-gram) codes
+    # tokens from each position to the end of its sentence
+    room = np.repeat(np.cumsum(lengths), lengths)[: size - n + 1] - np.arange(
+        size - n + 1
+    )
+    pos = np.flatnonzero(room >= n)
+    _, first, counts = np.unique(code[pos], return_index=True, return_counts=True)
+    order = np.argsort(first)
+    start = pos[first[order]]
+    return sent[start], start, counts[order].astype(float)

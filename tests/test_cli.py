@@ -115,6 +115,35 @@ def test_non_finite_parameter_exits_3(tmp_path, capsys):
     assert not (tmp_path / "ft").exists()
 
 
+def no_training(*_, **__):
+    raise AssertionError("training ran")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--dim", "0"], "--dim must be at least 1, got 0"),
+    (["--hidden", "0"], "--hidden must be at least 1, got 0"),
+    (["--p-max", "0"], "--p-max must be at least 1, got 0"),
+    (["--dl-max", "-1"], "--dl-max must be at least 0, got -1"),
+    (["--ft-steps", "-1"], "--ft-steps must be at least 0, got -1"),
+    (["--steps", "0"], "--steps must be at least 1, got 0"),
+    (["--batch", "0"], "--batch must be at least 1, got 0"),
+    (["--lr", "-1"], "--lr must be finite and positive, got -1.0"),
+    (["--lr", "0"], "--lr must be finite and positive, got 0.0"),
+    (["--lr", "nan"], "--lr must be finite and positive, got nan"),
+    (["--lr", "inf"], "--lr must be finite and positive, got inf"),
+])
+def test_train_flags_exit_2_before_training(flags, message, tmp_path, capsys,
+                                            monkeypatch):
+    monkeypatch.setattr(cli, "train", no_training)
+    monkeypatch.setattr(cli, "_load_corpus", no_training)
+    code, out, err = run(
+        ["train", *TASK, *flags, "--out", str(tmp_path / "run")], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_outputs(tmp_path, capsys):
     run_dir = train_once(tmp_path, capsys, "run")
     code, out, err = run(
@@ -227,6 +256,25 @@ def test_correlate_insufficient_corpus_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "too small" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--subsets", "1"], "--subsets must be at least 2, got 1"),
+    (["--subsets", "0"], "--subsets must be at least 2, got 0"),
+    (["--subsets", "3", "--split-length"],
+     "--subsets must be at least 4 with --split-length, got 3"),
+    (["--subset-size", "0"], "--subset-size must be at least 1, got 0"),
+])
+def test_correlate_subset_flags_exit_2_before_reading(flags, message, tmp_path,
+                                                      capsys):
+    # the checkpoint does not exist: the flags are checked first
+    code, out, err = run(
+        ["correlate", *TASK, "--ckpt", str(tmp_path / "nope.bin"), *flags,
+         "--out", str(tmp_path / "c")],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_correlate_rerun_identical(tmp_path, capsys):

@@ -112,6 +112,19 @@ def test_bleu_equals_counter_reference(corpus, smooth, max_n):
     assert repr(score) == repr(want)  # Python floats, as the CSVs print them
 
 
+@settings(max_examples=50, deadline=None)
+@given(bleu_corpora(), st.booleans())
+def test_bleu_with_ids_near_2_62(corpus, smooth):
+    # a code of id * V**k would overflow int64 at these ids
+    def huge(sents):
+        return [tuple(2**63 - 1 - t if t % 2 else 2**62 + t for t in s)
+                for s in sents]
+
+    candidates, references = corpus
+    score = bleu(huge(candidates), huge(references), smooth=smooth)
+    assert score == bleu(candidates, references, smooth=smooth)
+
+
 def test_pearson_exact_lines():
     assert pearson([1, 2, 3], [3, 5, 7]) == pytest.approx(1.0)
     assert pearson([1, 2, 3], [-1, -2, -3]) == pytest.approx(-1.0)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bonnat.gradcheck import (
     fd_table_gradient,
@@ -165,3 +167,66 @@ def test_joint_config_validation():
         JointConfig(alpha=1.5)
     with pytest.raises(ValueError):
         JointConfig(n=5)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def bon_groups(draw):
+    """A stack of 1-16 sentences' tables, their references and an order n.
+
+    Sentences may be shorter than n. A table is random, peaked, or one-hot
+    with exact zeros elsewhere, hot at its reference (every reference
+    n-gram is then a min() tie) or elsewhere; small vocabularies and
+    single-token references make repeated n-grams and ties common."""
+    V = draw(st.sampled_from([2, 3, 24, 200]))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tables, refs = [], []
+    for _ in range(draw(st.integers(1, 16))):
+        T = draw(st.integers(0, 12))
+        ref = rng.integers(0, V, size=T)
+        if T and draw(st.integers(0, 3)) == 0:  # a single distinct n-gram
+            ref[:] = ref[0]
+        kind = draw(st.sampled_from(["random", "peaked", "hot-ref", "hot"]))
+        if kind.startswith("hot"):
+            p = np.zeros((T, V))
+            hot = ref if kind == "hot-ref" else rng.integers(0, V, size=T)
+            p[np.arange(T), hot] = 1.0
+        else:
+            raw = rng.random((T, V)) ** (8 if kind == "peaked" else 1)
+            p = raw / raw.sum(axis=1, keepdims=True)
+        tables.append(p)
+        refs.append(ref)
+    return np.concatenate(tables), refs, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(bon_groups(), st.booleans())
+def test_group_bon_loss_equals_per_sentence_bon_loss(case, grad):
+    p, refs, n = case
+    lengths = [len(ref) for ref in refs]
+    got = bon_loss(p, np.concatenate(refs), n, grad=grad, lengths=lengths)
+    starts = np.cumsum(lengths) - lengths
+    want = [
+        bon_loss(p[a : a + T], tuple(ref.tolist()), n, grad=grad)
+        for ref, a, T in zip(refs, starts, lengths)
+    ]
+    assert same_bits(got.values, [w.value for w in want])
+    assert same_bits(got.value, sum(w.value for w in want))
+    assert got.degenerate == sum(w.degenerate for w in want)
+    if grad:
+        assert same_bits(got.grad, np.concatenate([w.grad for w in want]))
+    else:
+        assert got.grad is None
+
+
+def test_group_bon_loss_needs_one_reference_token_per_row():
+    p = np.full((5, 3), 1 / 3)
+    with pytest.raises(ValueError, match="one reference token per table row"):
+        bon_loss(p, np.array([0, 1, 2, 0]), 2, lengths=[2, 2])
+    with pytest.raises(ValueError, match="one reference token per table row"):
+        bon_loss(p, np.array([0, 1, 2, 0, 1]), 2, lengths=[2, 2])

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bonnat
 
@@ -18,6 +20,7 @@ from bonnat.ngram import count_ngrams
 from bonnat.probmodel import (
     expected_bag,
     expected_count_gradient,
+    expected_counts,
     expected_ngram_count,
 )
 
@@ -131,6 +134,31 @@ def test_gradient_matches_finite_differences():
         analytic = expected_count_gradient(table, g)
         numeric = fd_table_gradient(lambda p: expected_ngram_count(p, g), table)
         assert worst_rel_error(analytic, numeric) < 1e-6
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12), st.sampled_from([2, 3, 24]), st.integers(1, 4),
+    st.integers(1, 8), st.integers(0, 2**32 - 1),
+)
+def test_spans_equal_one_table_per_gram(R, V, n, k, seed):
+    # each gram over its own rows, which may overlap or be shorter than n,
+    # gives the counts of its rows as a table, and the gradients of those
+    # tables added in gram order, bit for bit
+    rng = np.random.default_rng(seed)
+    p = random_table(rng, R, V) ** int(rng.integers(1, 9))
+    grams = rng.integers(0, V, size=(k, n))
+    grams[:, -1] = grams[:, 0]  # repeated tokens share a stage slot
+    start = rng.integers(0, R, size=k)
+    length = rng.integers(0, R - start + 1)
+    counts = expected_counts(p, grams, (start, length))
+    total = np.zeros((R, V))
+    for j, (a, T) in enumerate(zip(start, length)):
+        rows = p[a : a + T]
+        assert counts[j] == expected_counts(rows, grams[j])[0]
+        total[a : a + T] += expected_count_gradient(rows, grams[j])
+    got = expected_count_gradient(p, grams, (start, length))
+    assert got.tobytes() == total.tobytes()
 
 
 FENCE_PROBE = """
