@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import itertools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -34,7 +34,15 @@ from .gradcheck import (
     worst_rel_error,
 )
 from .loss import JointConfig, bon_loss, cross_entropy, joint_loss
-from .model import SCHEDULES, ModelDims, TrainConfig, TrainingDiverged, train
+from .model import (
+    SCHEDULES,
+    BoundError,
+    ModelDims,
+    TrainConfig,
+    TrainingDiverged,
+    check_at_least,
+    train,
+)
 from .ngram import count_ngrams
 from .probmodel import expected_ngram_count
 
@@ -45,6 +53,14 @@ EXIT_NUMERIC = 3
 
 class UsageError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are UsageErrors, reported by `main`
+    as one line, not a usage block and SystemExit."""
+
+    def error(self, message: str):
+        raise UsageError(message)
 
 
 def _add_common(p: argparse.ArgumentParser, out: bool = True) -> None:
@@ -80,7 +96,7 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subparser for each command name."""
-    parser = argparse.ArgumentParser(prog="bonnat")
+    parser = _Parser(prog="bonnat")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic parallel corpus")
@@ -261,47 +277,48 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _check_at_least(lows) -> None:
-    """Each (flag, value, low) with value < low is a usage error."""
-    for flag, value, low in lows:
-        if value < low:
-            raise UsageError(f"{flag} must be at least {low}, got {value}")
+# the train flag that sets each ModelDims and TrainConfig field
+_TRAIN_FLAGS = {
+    "d": "--dim", "h": "--hidden", "p_max": "--p-max", "dl_max": "--dl-max",
+    "steps": "--steps", "ft_steps": "--ft-steps", "batch_size": "--batch",
+    "lr": "--lr",
+}
 
 
-def _check_train_flags(args) -> None:
-    """The model and optimiser flags, checked before any work."""
-    _check_at_least([
-        ("--dim", args.dim, 1), ("--hidden", args.hidden, 1),
-        ("--p-max", args.p_max, 1), ("--dl-max", args.dl_max, 0),
-        ("--steps", args.steps, 1), ("--ft-steps", args.ft_steps, 0),
-        ("--batch", args.batch, 1),
-    ])
-    if not (math.isfinite(args.lr) and args.lr > 0.0):
-        raise UsageError(f"--lr must be finite and positive, got {args.lr}")
+def _train_setup(args) -> tuple[TrainConfig, ModelDims]:
+    """The config and model dims of the flags, built, and so checked,
+    before any work. The dims hold --vocab until `cmd_train` sets the
+    loaded corpus's vocabulary."""
+    try:
+        dims = ModelDims(
+            vocab=args.vocab, d=args.dim, h=args.hidden,
+            p_max=args.p_max, dl_max=args.dl_max,
+        )
+        config = TrainConfig(
+            schedule=args.schedule,
+            alpha=args.alpha,
+            n=args.n,
+            lr=args.lr,
+            steps=args.steps,
+            ft_steps=args.ft_steps,
+            batch_size=args.batch,
+            seed=args.seed,
+        )
+        config.validate()
+    except BoundError as exc:
+        raise BoundError(_TRAIN_FLAGS[exc.name], exc.value, exc.bound) from None
+    return config, dims
 
 
 def cmd_train(args) -> int:
-    _check_train_flags(args)
+    config, dims = _train_setup(args)
     pairs, vocab_size = _load_corpus(args)
-    config = TrainConfig(
-        schedule=args.schedule,
-        alpha=args.alpha,
-        n=args.n,
-        lr=args.lr,
-        steps=args.steps,
-        ft_steps=args.ft_steps,
-        batch_size=args.batch,
-        seed=args.seed,
-    )
     init_state = None
     if args.init is not None:
         init_state, _ = _load_checkpoint(args.init, vocab_size)
         dims = init_state.model.dims
     else:
-        dims = ModelDims(
-            vocab=vocab_size, d=args.dim, h=args.hidden,
-            p_max=args.p_max, dl_max=args.dl_max,
-        )
+        dims = dataclasses.replace(dims, vocab=vocab_size)
     try:
         state = train(config, pairs, dims, init=init_state)
     except TrainingDiverged as exc:
@@ -385,7 +402,7 @@ def cmd_correlate(args) -> int:
         raise UsageError(
             f"--subsets must be at least {2 * scopes}{split}, got {args.subsets}"
         )
-    _check_at_least([("--subset-size", args.subset_size, 1)])
+    check_at_least([("--subset-size", args.subset_size, 1)])
     pairs, vocab_size = _load_corpus(args)
     state, _ = _load_checkpoint(args.ckpt, vocab_size)
     if args.subsets * args.subset_size > len(pairs):
@@ -429,7 +446,7 @@ def _check_sizes(args, min_vocab: int, windows: bool = True) -> None:
             ("--trials", args.trials, 1)]
     if windows:
         lows.append(("--n", args.n, 1))
-    _check_at_least(lows)
+    check_at_least(lows)
     if windows and args.n > args.length:
         raise UsageError(f"--n {args.n} exceeds --len {args.length}")
 

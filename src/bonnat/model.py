@@ -5,6 +5,7 @@ and an Adam trainer whose schedules are phases of one CE/BoN objective.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -28,6 +29,21 @@ class TrainingDiverged(RuntimeError):
         self.sentence = sentence
 
 
+class BoundError(ValueError):
+    """A named value outside its bounds."""
+
+    def __init__(self, name: str, value, bound: str):
+        super().__init__(f"{name} must be {bound}, got {value}")
+        self.name, self.value, self.bound = name, value, bound
+
+
+def check_at_least(lows) -> None:
+    """Each (name, value, low) with value < low is a BoundError."""
+    for name, value, low in lows:
+        if value < low:
+            raise BoundError(name, value, f"at least {low}")
+
+
 @dataclass(frozen=True)
 class ModelDims:
     vocab: int
@@ -35,6 +51,10 @@ class ModelDims:
     h: int = 32
     p_max: int = 32
     dl_max: int = 8
+
+    def __post_init__(self) -> None:
+        check_at_least([("d", self.d, 1), ("h", self.h, 1),
+                        ("p_max", self.p_max, 1), ("dl_max", self.dl_max, 0)])
 
 
 class Forward(NamedTuple):
@@ -99,6 +119,14 @@ class NatModel:
                 f"target length {T} exceeds position capacity {self.dims.p_max}"
             )
 
+    def layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The two hidden layers and the logits of embedded input rows x:
+        the affine path that training and decoding share."""
+        p = self.params
+        h1 = np.tanh(x @ p["w1"] + p["b1"])
+        h2 = np.tanh(h1 @ p["w2"] + p["b2"])
+        return h1, h2, h2 @ p["w_out"] + p["b_out"]
+
     def forward_rows(self, copied: np.ndarray, pos: np.ndarray | slice) -> Forward:
         """Row i is the output distribution at position pos[i] given the
         copied source token copied[i]; rows may come from many sentences.
@@ -106,9 +134,7 @@ class NatModel:
         position table without a copy."""
         p = self.params
         x = p["src_emb"][copied] + p["pos_emb"][pos]
-        h1 = np.tanh(x @ p["w1"] + p["b1"])
-        h2 = np.tanh(h1 @ p["w2"] + p["b2"])
-        logits = h2 @ p["w_out"] + p["b_out"]
+        h1, h2, logits = self.layers(x)
         probs = _softmax(logits)
         cache = {"copied": copied, "pos": pos, "x": x, "h1": h1, "h2": h2,
                  "probs": probs}
@@ -167,11 +193,16 @@ class LengthPredictor:
         }
         return cls(dims.dl_max, params)
 
+    def logits(self, enc_sum: np.ndarray) -> np.ndarray:
+        return enc_sum @ self.params["lp_w"] + self.params["lp_b"]
+
     def class_probs(self, enc_sum: np.ndarray) -> np.ndarray:
-        return _softmax(enc_sum @ self.params["lp_w"] + self.params["lp_b"])
+        return _softmax(self.logits(enc_sum))
 
     def predict_diff(self, enc_sum: np.ndarray) -> int:
-        return int(np.argmax(self.class_probs(enc_sum))) - self.dl_max
+        """The most likely difference class, by argmax over the logits:
+        softmax keeps their order, so no probabilities are needed."""
+        return int(self.logits(enc_sum).argmax()) - self.dl_max
 
     def loss_and_grads(
         self, enc_sum: np.ndarray, diff
@@ -196,13 +227,18 @@ class LengthPredictor:
 def decode(
     model: NatModel, lp: LengthPredictor, source: Sequence[int]
 ) -> tuple[int, ...]:
-    """Argmax decoding at the predicted length. PAD is never emitted."""
-    enc_sum = model.encoder_states(source).sum(axis=0)
-    T = len(source) + lp.predict_diff(enc_sum)
+    """Argmax decoding at the predicted length. PAD is never emitted.
+
+    Softmax keeps the order of a row's logits, so the argmax is taken
+    over the logits and no probability table is built; exact ties go to
+    the lowest id, as over the probabilities."""
+    enc = model.encoder_states(source)
+    T = len(source) + lp.predict_diff(enc.sum(axis=0))
     T = min(max(T, 1), model.dims.p_max)
-    probs, _ = model._forward_cache(source, T)
+    x = enc[model.copy_indices(len(enc), T)] + model.params["pos_emb"][:T]
+    _, _, logits = model.layers(x)
     # PAD is column 0, so the argmax over the columns after it skips PAD
-    return tuple((np.argmax(probs[:, PAD + 1 :], axis=1) + PAD + 1).tolist())
+    return tuple((logits[:, PAD + 1 :].argmax(axis=1) + PAD + 1).tolist())
 
 
 def postprocess(sent: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -251,8 +287,10 @@ class TrainConfig:
     def validate(self) -> None:
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule: {self.schedule!r}")
-        if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("step budget and batch size must be positive")
+        check_at_least([("steps", self.steps, 1), ("ft_steps", self.ft_steps, 0),
+                        ("batch_size", self.batch_size, 1)])
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise BoundError("lr", self.lr, "finite and positive")
         JointConfig(self.alpha, self.n)  # bounds check
 
     def phases(self) -> list[tuple[float, int]]:

@@ -381,10 +381,9 @@ def test_gradcheck_model_check_reference_holds_an_ngram(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["oracle-check", "gradcheck"])
 def test_verification_commands_have_no_out_flag(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--out", "x"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --out x" in capsys.readouterr().err
+    code, out, err = run([command, "--out", "x"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: unrecognized arguments: --out x\n"
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
@@ -456,10 +455,10 @@ def test_unknown_common_config_key_exits_2(tmp_path, capsys):
 def test_config_value_the_flag_rejects_exits_2(command, text, message, tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(text)
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(cfg)])
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    code, out, err = run([command, "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: {message}")
 
 
 def test_config_keys_are_the_long_flag_names(tmp_path, capsys):
@@ -511,20 +510,37 @@ REQUIRED = {"eval": ["--ckpt", "x.bin"], "correlate": ["--ckpt", "x.bin"]}
     "command", ["gen-data", "train", "eval", "correlate", "oracle-check", "gradcheck"]
 )
 def test_threads_flag_rejected(command, capsys):
+    code, out, err = run([command, *REQUIRED.get(command, []), "--threads", "64"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err == "error: unrecognized arguments: --threads 64\n"
+
+
+def test_argparse_errors_are_one_line_and_help_exits_0(capsys):
+    code, out, err = run([], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: the following arguments are required: command\n"
+    code, _, err = run(["train", "--vocab", "abc"], capsys)
+    assert code == 2
+    assert err == "error: argument --vocab: invalid int value: 'abc'\n"
     with pytest.raises(SystemExit) as exc:
-        main([command, *REQUIRED.get(command, []), "--threads", "64"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+        main(["train", "--help"])
+    assert exc.value.code == 0
+    assert "--schedule" in capsys.readouterr().out
 
 
 def test_gen_data_rejects_file_flags_and_writes_the_task(tmp_path, capsys):
     (tmp_path / "s.txt").write_text("a b\n")
     (tmp_path / "v.txt").write_text("<pad>\n<unk>\na\nb\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-data", "--task", "copy", "--src", str(tmp_path / "s.txt"),
-              "--tgt", str(tmp_path / "s.txt"),
-              "--vocab-file", str(tmp_path / "v.txt"), "--out", str(tmp_path)])
-    assert exc.value.code == 2
+    code, out, err = run(
+        ["gen-data", "--task", "copy", "--src", str(tmp_path / "s.txt"),
+         "--tgt", str(tmp_path / "s.txt"),
+         "--vocab-file", str(tmp_path / "v.txt"), "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == (f"error: unrecognized arguments: --src {tmp_path / 's.txt'} "
+                   f"--tgt {tmp_path / 's.txt'} --vocab-file {tmp_path / 'v.txt'}\n")
     assert not (tmp_path / "src.txt").exists()
     out = tmp_path / "data"
     assert run(["gen-data", *TASK, "--seed", "5", "--out", str(out)], capsys)[0] == 0

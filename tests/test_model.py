@@ -10,6 +10,7 @@ from bonnat.loss import JointConfig, bon_loss, cross_entropy, joint_loss, mix
 from bonnat.model import (
     GROUP_CELLS,
     Adam,
+    BoundError,
     CapacityError,
     LengthPredictor,
     ModelDims,
@@ -156,10 +157,62 @@ def test_decode_skips_pad_and_breaks_ties_like_the_masked_copy(monkeypatch):
     table[:, PAD] = 0.4
     table[:, 2] = table[:, 4] = 0.2
     table[1::2, 4] = 0.25
-    monkeypatch.setattr(model, "_forward_cache", lambda source, T: (table[:T], None))
+    logits = np.log(table)
+    monkeypatch.setattr(model, "layers", lambda x: (None, None, logits[: len(x)]))
     out = decode(model, lp, (2, 3, 4))
     assert out == masked_copy_argmax(table[: len(out)])
     assert out == (2, 4, 2, 4, 2, 4, 2, 4)[: len(out)]
+    # token 3's logit is one ulp above token 2's: their probabilities round
+    # to the same value, and only the logits tell the larger one
+    logits = np.full((DIMS.p_max, DIMS.vocab), -5.0)
+    logits[:, 2] = 1e-3
+    logits[:, 3] = np.nextafter(1e-3, 1.0)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    assert (probs[:, 2] == probs[:, 3]).all()
+    out = decode(model, lp, (2, 3, 4))
+    assert out == (3,) * len(out)
+
+
+def test_predict_diff_is_the_argmax_class():
+    _, lp = fresh(5)
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        enc_sum = rng.normal(scale=3.0, size=DIMS.d)
+        expected = int(np.argmax(lp.class_probs(enc_sum))) - DIMS.dl_max
+        assert lp.predict_diff(enc_sum) == expected
+    # classes 1 and 3 tie exactly: the lower one wins
+    lp.params["lp_w"][:] = 0.0
+    lp.params["lp_b"][:] = [0.0, 1.0, 0.5, 1.0, 0.0]
+    assert lp.predict_diff(np.ones(DIMS.d)) == 1 - DIMS.dl_max
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("d", 0, "d must be at least 1, got 0"),
+    ("h", 0, "h must be at least 1, got 0"),
+    ("p_max", 0, "p_max must be at least 1, got 0"),
+    ("dl_max", -1, "dl_max must be at least 0, got -1"),
+])
+def test_model_dims_check_their_bounds(field, value, message):
+    with pytest.raises(BoundError) as exc:
+        ModelDims(vocab=6, **{field: value})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"lr": -1.0}, "lr must be finite and positive, got -1.0"),
+    ({"lr": 0.0}, "lr must be finite and positive, got 0.0"),
+    ({"lr": float("nan")}, "lr must be finite and positive, got nan"),
+    ({"lr": float("inf")}, "lr must be finite and positive, got inf"),
+    ({"ft_steps": -3}, "ft_steps must be at least 0, got -3"),
+    ({"steps": 0}, "steps must be at least 1, got 0"),
+    ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
+])
+def test_train_rejects_a_config_out_of_bounds(fields, message):
+    config = TrainConfig(schedule="bon-joint-ft", **fields)
+    with pytest.raises(BoundError) as exc:
+        train(config, small_corpus(), small_dims())
+    assert str(exc.value) == message
 
 
 def small_corpus(pairs=60, seed=1):
