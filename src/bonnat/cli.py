@@ -40,7 +40,6 @@ from .model import (
     ModelDims,
     TrainConfig,
     TrainingDiverged,
-    check_at_least,
     train,
 )
 from .ngram import count_ngrams
@@ -277,11 +276,20 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-# the train flag that sets each ModelDims and TrainConfig field
-_TRAIN_FLAGS = {
-    "d": "--dim", "h": "--hidden", "p_max": "--p-max", "dl_max": "--dl-max",
-    "steps": "--steps", "ft_steps": "--ft-steps", "batch_size": "--batch",
-    "lr": "--lr",
+def _check_at_least(lows) -> None:
+    """Each (flag, value, low) with value < low is a usage error."""
+    for flag, value, low in lows:
+        if value < low:
+            raise UsageError(f"{flag} must be at least {low}, got {value}")
+
+
+# the argument, and so the --flag, that sets each ModelDims and
+# TrainConfig field
+_DIMS_ARGS = {"d": "dim", "h": "hidden", "p_max": "p_max", "dl_max": "dl_max"}
+_CONFIG_ARGS = {
+    "schedule": "schedule", "alpha": "alpha", "n": "n", "lr": "lr",
+    "steps": "steps", "ft_steps": "ft_steps", "batch_size": "batch",
+    "seed": "seed",
 }
 
 
@@ -291,22 +299,17 @@ def _train_setup(args) -> tuple[TrainConfig, ModelDims]:
     loaded corpus's vocabulary."""
     try:
         dims = ModelDims(
-            vocab=args.vocab, d=args.dim, h=args.hidden,
-            p_max=args.p_max, dl_max=args.dl_max,
+            vocab=args.vocab,
+            **{f: getattr(args, a) for f, a in _DIMS_ARGS.items()},
         )
         config = TrainConfig(
-            schedule=args.schedule,
-            alpha=args.alpha,
-            n=args.n,
-            lr=args.lr,
-            steps=args.steps,
-            ft_steps=args.ft_steps,
-            batch_size=args.batch,
-            seed=args.seed,
+            **{f: getattr(args, a) for f, a in _CONFIG_ARGS.items()}
         )
         config.validate()
     except BoundError as exc:
-        raise BoundError(_TRAIN_FLAGS[exc.name], exc.value, exc.bound) from None
+        arg = {**_DIMS_ARGS, **_CONFIG_ARGS}[exc.name]
+        flag = "--" + arg.replace("_", "-")
+        raise UsageError(f"{flag} must be {exc.bound}, got {exc.value}") from None
     return config, dims
 
 
@@ -402,7 +405,7 @@ def cmd_correlate(args) -> int:
         raise UsageError(
             f"--subsets must be at least {2 * scopes}{split}, got {args.subsets}"
         )
-    check_at_least([("--subset-size", args.subset_size, 1)])
+    _check_at_least([("--subset-size", args.subset_size, 1)])
     pairs, vocab_size = _load_corpus(args)
     state, _ = _load_checkpoint(args.ckpt, vocab_size)
     if args.subsets * args.subset_size > len(pairs):
@@ -446,7 +449,7 @@ def _check_sizes(args, min_vocab: int, windows: bool = True) -> None:
             ("--trials", args.trials, 1)]
     if windows:
         lows.append(("--n", args.n, 1))
-    check_at_least(lows)
+    _check_at_least(lows)
     if windows and args.n > args.length:
         raise UsageError(f"--n {args.n} exceeds --len {args.length}")
 

@@ -37,7 +37,7 @@ class BoundError(ValueError):
         self.name, self.value, self.bound = name, value, bound
 
 
-def check_at_least(lows) -> None:
+def _check_at_least(lows) -> None:
     """Each (name, value, low) with value < low is a BoundError."""
     for name, value, low in lows:
         if value < low:
@@ -53,8 +53,8 @@ class ModelDims:
     dl_max: int = 8
 
     def __post_init__(self) -> None:
-        check_at_least([("d", self.d, 1), ("h", self.h, 1),
-                        ("p_max", self.p_max, 1), ("dl_max", self.dl_max, 0)])
+        _check_at_least([("d", self.d, 1), ("h", self.h, 1),
+                         ("p_max", self.p_max, 1), ("dl_max", self.dl_max, 0)])
 
 
 class Forward(NamedTuple):
@@ -119,6 +119,10 @@ class NatModel:
                 f"target length {T} exceeds position capacity {self.dims.p_max}"
             )
 
+    def embed(self, copied: np.ndarray, pos: np.ndarray | slice) -> np.ndarray:
+        """The input rows: copied source token embedding plus position."""
+        return self.params["src_emb"][copied] + self.params["pos_emb"][pos]
+
     def layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The two hidden layers and the logits of embedded input rows x:
         the affine path that training and decoding share."""
@@ -132,8 +136,7 @@ class NatModel:
         copied source token copied[i]; rows may come from many sentences.
         One sentence passes its positions as a slice, which indexes the
         position table without a copy."""
-        p = self.params
-        x = p["src_emb"][copied] + p["pos_emb"][pos]
+        x = self.embed(copied, pos)
         h1, h2, logits = self.layers(x)
         probs = _softmax(logits)
         cache = {"copied": copied, "pos": pos, "x": x, "h1": h1, "h2": h2,
@@ -232,11 +235,11 @@ def decode(
     Softmax keeps the order of a row's logits, so the argmax is taken
     over the logits and no probability table is built; exact ties go to
     the lowest id, as over the probabilities."""
-    enc = model.encoder_states(source)
-    T = len(source) + lp.predict_diff(enc.sum(axis=0))
+    src = np.asarray(source)
+    T = len(src) + lp.predict_diff(model.encoder_states(src).sum(axis=0))
     T = min(max(T, 1), model.dims.p_max)
-    x = enc[model.copy_indices(len(enc), T)] + model.params["pos_emb"][:T]
-    _, _, logits = model.layers(x)
+    copied = src[model.copy_indices(len(src), T)]
+    _, _, logits = model.layers(model.embed(copied, slice(0, T)))
     # PAD is column 0, so the argmax over the columns after it skips PAD
     return tuple((logits[:, PAD + 1 :].argmax(axis=1) + PAD + 1).tolist())
 
@@ -287,8 +290,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule: {self.schedule!r}")
-        check_at_least([("steps", self.steps, 1), ("ft_steps", self.ft_steps, 0),
-                        ("batch_size", self.batch_size, 1)])
+        _check_at_least([("steps", self.steps, 1), ("ft_steps", self.ft_steps, 0),
+                         ("batch_size", self.batch_size, 1)])
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise BoundError("lr", self.lr, "finite and positive")
         JointConfig(self.alpha, self.n)  # bounds check
