@@ -40,6 +40,7 @@ from .model import (
     ModelDims,
     TrainConfig,
     TrainingDiverged,
+    check_at_least,
     train,
 )
 from .ngram import count_ngrams
@@ -276,13 +277,6 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _check_at_least(lows) -> None:
-    """Each (flag, value, low) with value < low is a usage error."""
-    for flag, value, low in lows:
-        if value < low:
-            raise UsageError(f"{flag} must be at least {low}, got {value}")
-
-
 # the argument, and so the --flag, that sets each ModelDims and
 # TrainConfig field
 _DIMS_ARGS = {"d": "dim", "h": "hidden", "p_max": "p_max", "dl_max": "dl_max"}
@@ -405,7 +399,7 @@ def cmd_correlate(args) -> int:
         raise UsageError(
             f"--subsets must be at least {2 * scopes}{split}, got {args.subsets}"
         )
-    _check_at_least([("--subset-size", args.subset_size, 1)])
+    check_at_least([("--subset-size", args.subset_size, 1)])
     pairs, vocab_size = _load_corpus(args)
     state, _ = _load_checkpoint(args.ckpt, vocab_size)
     if args.subsets * args.subset_size > len(pairs):
@@ -449,7 +443,7 @@ def _check_sizes(args, min_vocab: int, windows: bool = True) -> None:
             ("--trials", args.trials, 1)]
     if windows:
         lows.append(("--n", args.n, 1))
-    _check_at_least(lows)
+    check_at_least(lows)
     if windows and args.n > args.length:
         raise UsageError(f"--n {args.n} exceeds --len {args.length}")
 

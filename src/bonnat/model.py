@@ -37,7 +37,7 @@ class BoundError(ValueError):
         self.name, self.value, self.bound = name, value, bound
 
 
-def _check_at_least(lows) -> None:
+def check_at_least(lows) -> None:
     """Each (name, value, low) with value < low is a BoundError."""
     for name, value, low in lows:
         if value < low:
@@ -53,8 +53,8 @@ class ModelDims:
     dl_max: int = 8
 
     def __post_init__(self) -> None:
-        _check_at_least([("d", self.d, 1), ("h", self.h, 1),
-                         ("p_max", self.p_max, 1), ("dl_max", self.dl_max, 0)])
+        check_at_least([("d", self.d, 1), ("h", self.h, 1),
+                        ("p_max", self.p_max, 1), ("dl_max", self.dl_max, 0)])
 
 
 class Forward(NamedTuple):
@@ -133,9 +133,9 @@ class NatModel:
 
     def forward_rows(self, copied: np.ndarray, pos: np.ndarray | slice) -> Forward:
         """Row i is the output distribution at position pos[i] given the
-        copied source token copied[i]; rows may come from many sentences.
-        One sentence passes its positions as a slice, which indexes the
-        position table without a copy."""
+        copied source token copied[i]; a training batch passes the rows of
+        all its sentences at once. One sentence passes its positions as a
+        slice, which indexes the position table without a copy."""
         x = self.embed(copied, pos)
         h1, h2, logits = self.layers(x)
         probs = _softmax(logits)
@@ -290,8 +290,8 @@ class TrainConfig:
     def validate(self) -> None:
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule: {self.schedule!r}")
-        _check_at_least([("steps", self.steps, 1), ("ft_steps", self.ft_steps, 0),
-                         ("batch_size", self.batch_size, 1)])
+        check_at_least([("steps", self.steps, 1), ("ft_steps", self.ft_steps, 0),
+                        ("batch_size", self.batch_size, 1)])
         if not (math.isfinite(self.lr) and self.lr > 0.0):
             raise BoundError("lr", self.lr, "finite and positive")
         JointConfig(self.alpha, self.n)  # bounds check
@@ -321,22 +321,6 @@ def _copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in params.items()}
 
 
-GROUP_CELLS = 16384  # table cells (128 KiB of float64) of one row group
-
-
-def row_groups(lengths: Sequence[int], vocab: int) -> list[range]:
-    """Runs of consecutive sentences whose tables (T x vocab each) hold at
-    most GROUP_CELLS cells together; a longer sentence is a run of one."""
-    groups, start, cells = [], 0, 0
-    for i, T in enumerate(lengths):
-        if i > start and cells + T * vocab > GROUP_CELLS:
-            groups.append(range(start, i))
-            start, cells = i, 0
-        cells += T * vocab
-    groups.append(range(start, len(lengths)))
-    return groups
-
-
 class BatchGradients(NamedTuple):
     grads: dict[str, np.ndarray]  # summed over the batch's sentences
     ce: float  # summed loss values
@@ -345,17 +329,24 @@ class BatchGradients(NamedTuple):
     diverged: int | None  # batch position of the first non-finite sentence
 
 
-def _group_gradients(
+def batch_gradients(
     model: NatModel,
     lp: LengthPredictor,
     pairs: Sequence[ParallelPair],
     ce_weight: float,
     n: int,
 ) -> BatchGradients:
-    """`batch_gradients` of one row group: its target positions are the
-    rows of one ragged table. Its tables are freed on return, so one
-    group's tables at a time are alive."""
+    """Gradients of w * CE + (1 - w) * BoN and of the length predictor's
+    CE, summed over `pairs`. The model is position-wise, so the batch's
+    target positions are the rows of one ragged table, which gets one
+    forward, CE, BoN, backward and length-predictor call; the BoN call
+    ranks every sentence's reference n-grams at once and runs the count
+    and gradient kernels once over all of them. A batch holding a
+    non-finite loss returns no gradients and the position of its first
+    such sentence."""
     tgt_len = np.array([len(pair.target) for pair in pairs])
+    for T in tgt_len.tolist():
+        model.check_length(T)
     src_len = np.array([len(pair.source) for pair in pairs])
     rows, tgt_start = tgt_len.sum(), np.cumsum(tgt_len) - tgt_len
     src_start = np.cumsum(src_len) - src_len
@@ -389,41 +380,6 @@ def _group_gradients(
         source, np.repeat(d_enc_sum, src_len, axis=0), len(grads["src_emb"])
     )
     return BatchGradients(grads, ce.value, bon.value, bon.degenerate, None)
-
-
-def batch_gradients(
-    model: NatModel,
-    lp: LengthPredictor,
-    pairs: Sequence[ParallelPair],
-    ce_weight: float,
-    n: int,
-) -> BatchGradients:
-    """Gradients of w * CE + (1 - w) * BoN and of the length predictor's
-    CE, summed over `pairs`. The model is position-wise, so each row
-    group gets one forward, CE, BoN, backward and length-predictor call;
-    the group's BoN call ranks every sentence's reference n-grams at once
-    and runs the count and gradient kernels once over all of them. Stops
-    at the first group holding a non-finite loss and returns the position
-    of that sentence."""
-    lengths = [len(pair.target) for pair in pairs]
-    for T in lengths:
-        model.check_length(T)
-    grads = {
-        k: np.zeros_like(v) for k, v in (*model.params.items(), *lp.params.items())
-    }
-    ce = bon = 0.0
-    degenerate = 0
-    for group in row_groups(lengths, model.dims.vocab):
-        part = _group_gradients(model, lp, [pairs[i] for i in group], ce_weight, n)
-        if part.diverged is not None:
-            diverged = group.start + part.diverged
-            return BatchGradients(grads, ce, bon, degenerate, diverged)
-        for k, g in part.grads.items():
-            grads[k] += g
-        ce += part.ce
-        bon += part.bon
-        degenerate += part.degenerate
-    return BatchGradients(grads, ce, bon, degenerate, None)
 
 
 def train(

@@ -4,11 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bonnat import checkpoint as ckpt
+from bonnat import model as model_mod
 from bonnat.corpus import PAD, ParallelPair, SyntheticTaskSpec, generate_task
 from bonnat.gradcheck import fd_param_gradients, worst_rel_error
 from bonnat.loss import JointConfig, bon_loss, cross_entropy, joint_loss, mix
 from bonnat.model import (
-    GROUP_CELLS,
     Adam,
     BoundError,
     CapacityError,
@@ -20,7 +20,6 @@ from bonnat.model import (
     batch_gradients,
     decode,
     postprocess,
-    row_groups,
     train,
 )
 
@@ -358,7 +357,6 @@ def test_batch_gradients_equal_per_sentence_sum(ce_weight):
     ids = [3, 0, 2, 2, 4, 1, 5, 6, 3, 7, 2, 0, 6, 4, 1, 5]
     pairs = [corpus[i] for i in ids]
     lengths = [len(p.target) for p in pairs]
-    assert len(row_groups(lengths, dims.vocab)) > 1
     got = batch_gradients(model, lp, pairs, ce_weight, 3)
     want, ce_sum, bon_sum = per_sentence_gradients(model, lp, pairs, ce_weight, 3)
     assert got.diverged is None
@@ -375,14 +373,31 @@ def test_batch_gradients_equal_per_sentence_sum(ce_weight):
         )
 
 
-def test_row_groups_bound_the_table():
-    V = 128  # GROUP_CELLS holds 128 rows
-    lengths = [30, 60, 80, 200, 1, 1, 126, 1]
-    groups = row_groups(lengths, V)
-    assert [list(g) for g in groups] == [[0, 1], [2], [3], [4, 5, 6], [7]]
-    for g in groups:
-        cells = sum(lengths[i] for i in g) * V
-        assert cells <= GROUP_CELLS or len(g) == 1
+def test_batch_gradients_is_one_pass_per_step(monkeypatch):
+    dims = ModelDims(vocab=200, d=4, h=8, p_max=32, dl_max=3)
+    corpus = generate_task(SyntheticTaskSpec("copy", 200, 16, 30, 16, seed=2))
+    model, lp = fresh(7, dims)
+    # a batch of several 16384-cell (128 KiB) tables
+    assert sum(len(p.target) for p in corpus) * dims.vocab > 16384
+    calls = {}
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    spy(NatModel, "forward_rows")
+    spy(NatModel, "backward")
+    spy(model_mod, "cross_entropy")
+    spy(model_mod, "bon_loss")
+    got = batch_gradients(model, lp, corpus, 0.5, 3)
+    assert got.diverged is None
+    assert calls == {"forward_rows": 1, "cross_entropy": 1, "bon_loss": 1,
+                     "backward": 1}
 
 
 def test_non_finite_loss_names_the_first_bad_sentence():
@@ -394,10 +409,8 @@ def test_non_finite_loss_names_the_first_bad_sentence():
     # with an init state the first draw of the seeded generator is the batch
     ids = np.random.default_rng(config.seed).integers(0, len(corpus), size=8)
     batch = [corpus[i] for i in ids]
-    groups = row_groups([len(p.target) for p in batch], dims.vocab)
-    assert len(groups) > 1
-    # NaN in a token that first occurs in the last row group's first sentence
-    k = groups[-1].start
+    # NaN in a token that first occurs in a sentence after the first
+    k = 5
     earlier = {t for p in batch[:k] for t in p.source}
     tok = next(t for t in batch[k].source if t not in earlier)
     base.model.params["src_emb"][tok, 0] = np.nan
