@@ -4,6 +4,7 @@ parameter blocks of little-endian float64. Writes are atomic
 """
 from __future__ import annotations
 
+import hashlib
 import os
 import struct
 from pathlib import Path
@@ -21,10 +22,10 @@ class CheckpointError(ValueError):
     pass
 
 
-def save(path: str | Path, state: TrainState, seed: int) -> None:
+def save(path: str | Path, state: TrainState, seed: int) -> str:
+    """Write the checkpoint; returns the SHA-256 of the bytes written."""
     path = Path(path)
-    blocks = dict(state.model.params)
-    blocks.update(state.lp.params)
+    blocks = {**state.model.params, **state.lp.params}
     d = state.model.dims
     buf = bytearray()
     buf += MAGIC
@@ -38,11 +39,13 @@ def save(path: str | Path, state: TrainState, seed: int) -> None:
         buf += struct.pack(f"<{arr.ndim}i", *arr.shape)
         buf += np.ascontiguousarray(arr, dtype="<f8").tobytes()
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(buf))
+    tmp.write_bytes(buf)
     os.replace(tmp, path)
+    return hashlib.sha256(buf).hexdigest()
 
 
 def load(path: str | Path) -> tuple[TrainState, dict]:
+    """The state and header fields, with the SHA-256 of the bytes parsed."""
     data = Path(path).read_bytes()
     if data[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"not a checkpoint file: {path}")
@@ -67,7 +70,8 @@ def load(path: str | Path) -> tuple[TrainState, dict]:
         lp=LengthPredictor(dl_max, lp_params),
         step=step,
     )
-    header = {"version": version, "seed": seed, "step": step, "dims": dims}
+    header = {"version": version, "seed": seed, "step": step, "dims": dims,
+              "sha256": hashlib.sha256(data).hexdigest()}
     return state, header
 
 

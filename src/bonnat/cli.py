@@ -12,7 +12,6 @@ import argparse
 import configparser
 import csv
 import dataclasses
-import hashlib
 import itertools
 import json
 import sys
@@ -252,10 +251,6 @@ def _write_sidecar(path: Path, args, extra: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _file_hash(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _result(command: str, **fields) -> None:
     parts = [f"command={command}"] + [f"{k}={v}" for k, v in fields.items()]
     print("RESULT " + " ".join(parts))
@@ -287,6 +282,12 @@ _CONFIG_ARGS = {
 }
 
 
+def _flag_bound(exc: BoundError) -> BoundError:
+    """A ModelDims, TrainConfig or JointConfig field's BoundError, named by its flag."""
+    arg = {**_DIMS_ARGS, **_CONFIG_ARGS}[exc.name]
+    return BoundError("--" + arg.replace("_", "-"), exc.value, exc.bound)
+
+
 def _train_setup(args) -> tuple[TrainConfig, ModelDims]:
     """The config and model dims of the flags, built, and so checked,
     before any work. The dims hold --vocab until `cmd_train` sets the
@@ -301,21 +302,18 @@ def _train_setup(args) -> tuple[TrainConfig, ModelDims]:
         )
         config.validate()
     except BoundError as exc:
-        arg = {**_DIMS_ARGS, **_CONFIG_ARGS}[exc.name]
-        flag = "--" + arg.replace("_", "-")
-        raise UsageError(f"{flag} must be {exc.bound}, got {exc.value}") from None
+        raise _flag_bound(exc) from None
     return config, dims
 
 
 def cmd_train(args) -> int:
     config, dims = _train_setup(args)
     pairs, vocab_size = _load_corpus(args)
+    # `train` takes an --init state's own dims instead
+    dims = dataclasses.replace(dims, vocab=vocab_size)
     init_state = None
     if args.init is not None:
         init_state, _ = _load_checkpoint(args.init, vocab_size)
-        dims = init_state.model.dims
-    else:
-        dims = dataclasses.replace(dims, vocab=vocab_size)
     try:
         state = train(config, pairs, dims, init=init_state)
     except TrainingDiverged as exc:
@@ -323,7 +321,7 @@ def cmd_train(args) -> int:
         return EXIT_NUMERIC
     args.out.mkdir(parents=True, exist_ok=True)
     ckpt_path = args.out / "checkpoint.bin"
-    ckpt.save(ckpt_path, state, seed=args.seed)
+    digest = ckpt.save(ckpt_path, state, seed=args.seed)
     _write_csv(
         args.out / "train_log.csv",
         ["step", "ce_loss", "bon_loss", "joint_loss", "lr", "wall_ms"],
@@ -335,7 +333,7 @@ def cmd_train(args) -> int:
     )
     _write_sidecar(
         args.out / "train_meta.json", args,
-        {"checkpoint_sha256": _file_hash(ckpt_path),
+        {"checkpoint_sha256": digest,
          "short_sentence_skips": state.short_sentence_skips},
     )
     last = state.log[-1]
@@ -381,7 +379,7 @@ def cmd_eval(args) -> int:
     )
     _write_sidecar(
         args.out / "eval_meta.json", args,
-        {"checkpoint_sha256": _file_hash(args.ckpt), "ckpt_step": header["step"]},
+        {"checkpoint_sha256": header["sha256"], "ckpt_step": header["step"]},
     )
     overall = removed_rows[-1]
     _result(
@@ -401,7 +399,8 @@ def cmd_correlate(args) -> int:
         )
     check_at_least([("--subset-size", args.subset_size, 1)])
     pairs, vocab_size = _load_corpus(args)
-    state, _ = _load_checkpoint(args.ckpt, vocab_size)
+    state, header = _load_checkpoint(args.ckpt, vocab_size)
+    state.model.check_lengths([len(p.target) for p in pairs])
     if args.subsets * args.subset_size > len(pairs):
         raise UsageError(
             f"corpus of {len(pairs)} too small for "
@@ -430,7 +429,7 @@ def cmd_correlate(args) -> int:
     )
     _write_sidecar(
         args.out / "correlate_meta.json", args,
-        {"checkpoint_sha256": _file_hash(args.ckpt)},
+        {"checkpoint_sha256": header["sha256"]},
     )
     _result("correlate", status="ok", rows=len(rows), out=args.out)
     return EXIT_OK
@@ -486,13 +485,18 @@ def cmd_gradcheck(args) -> int:
     _check_sizes(args, min_vocab=2 if bon else 1, windows=bon)
     rng = np.random.default_rng(args.seed)
     V, T, n = args.vocab, args.length, args.n
+    if args.loss == "joint":
+        try:
+            joint = JointConfig(args.alpha, n)
+        except BoundError as exc:
+            raise _flag_bound(exc) from None
 
     def loss_fn(probs, ref):
         if args.loss == "ce":
             return cross_entropy(probs, ref)
         if args.loss == "bon":
             return bon_loss(probs, ref, n)
-        return joint_loss(probs, ref, JointConfig(args.alpha, n))
+        return joint_loss(probs, ref, joint)
 
     worst = 0.0
     resampled = 0

@@ -6,7 +6,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -14,7 +13,7 @@ import numpy as np
 from .corpus import ParallelPair
 from .loss import bon_loss, cross_entropy
 from .model import LengthPredictor, NatModel, decode, postprocess
-from .ngram import rank_windows
+from .ngram import rank_windows, stack, windows_inside
 
 MAX_BLEU_ORDER = 4
 # the BoN orders whose losses correlation_study correlates with BLEU
@@ -49,40 +48,24 @@ def bleu(
     if not candidates:
         raise ValueError("empty corpus")
     pairs = len(candidates)
-    lens = np.fromiter(
-        chain(map(len, candidates), map(len, references)), np.int64, 2 * pairs
-    )
-    size = int(lens.sum())
-    tokens = np.fromiter(
-        chain(chain.from_iterable(candidates), chain.from_iterable(references)),
-        np.int64,
-        size,
-    )
+    tokens, lens = stack([*candidates, *references])
     cand_len = int(lens[:pairs].sum())
-    ref_len = size - cand_len
-    # tokens from each position to the end of its sentence: the window of
-    # n tokens starting there lies inside the sentence when room >= n
-    room = np.repeat(np.cumsum(lens), lens) - np.arange(size)
+    ref_len = len(tokens) - cand_len
     # code[i] ranks (pair, the n tokens from position i): a candidate and
     # its reference share the pair's key
     pair = np.repeat(np.arange(2 * pairs) % pairs, lens)
-    matched, totals = [], []
+    precisions = []
     for n, (k, code) in enumerate(rank_windows(tokens, pair, max_n), start=1):
-        inside = room[: len(code)] >= n
+        inside = windows_inside(lens, n)
         cand = np.bincount(code[:cand_len][inside[:cand_len]], minlength=k)
         ref = np.bincount(code[cand_len:][inside[cand_len:]], minlength=k)
-        matched.append(int(np.minimum(cand, ref).sum()))
-        totals.append(int(cand.sum()))
-    precisions = []
-    for n in range(1, max_n + 1):
-        num, den = matched[n - 1], totals[n - 1]
+        num, den = int(np.minimum(cand, ref).sum()), int(cand.sum())
         if smooth and n >= 2:
             num, den = num + 1, den + 1
         precisions.append(num / den if den > 0 else 0.0)
-    if cand_len == 0 or any(p == 0.0 for p in precisions):
-        bp = 0.0 if cand_len == 0 else min(1.0, math.exp(1.0 - ref_len / cand_len))
+    bp = min(1.0, math.exp(1.0 - ref_len / cand_len)) if cand_len else 0.0
+    if cand_len == 0 or 0.0 in precisions:
         return BleuScore(0.0, precisions, bp)
-    bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
     value = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
     return BleuScore(value, precisions, bp)
 

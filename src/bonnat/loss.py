@@ -25,6 +25,21 @@ class LossResult:
     degenerate: bool = False
 
 
+class BoundError(ValueError):
+    """A named value outside its bounds."""
+
+    def __init__(self, name: str, value, bound: str):
+        super().__init__(f"{name} must be {bound}, got {value}")
+        self.name, self.value, self.bound = name, value, bound
+
+
+def check_at_least(lows) -> None:
+    """Each (name, value, low) with value < low is a BoundError."""
+    for name, value, low in lows:
+        if value < low:
+            raise BoundError(name, value, f"at least {low}")
+
+
 @dataclass(frozen=True)
 class JointConfig:
     alpha: float = 0.1
@@ -32,9 +47,9 @@ class JointConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
+            raise BoundError("alpha", self.alpha, "in [0, 1]")
         if not 1 <= self.n <= 4:
-            raise ValueError("n-gram order must be in 1..4")
+            raise BoundError("n", self.n, "in 1..4")
 
 
 def cross_entropy(table, ref: Sequence[int]) -> LossResult:

@@ -4,7 +4,6 @@ and an Adam trainer whose schedules are phases of one CE/BoN objective.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -13,7 +12,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import PAD, ParallelPair
-from .loss import JointConfig, bon_loss, cross_entropy, mix
+from .loss import BoundError, JointConfig, bon_loss, check_at_least, cross_entropy, mix
+from .ngram import stack
 
 SCHEDULES = ("ce", "bon-ft", "bon-joint", "bon-joint-ft")
 
@@ -27,21 +27,6 @@ class TrainingDiverged(RuntimeError):
         super().__init__(f"non-finite loss at step {step}, sentence {sentence}")
         self.step = step
         self.sentence = sentence
-
-
-class BoundError(ValueError):
-    """A named value outside its bounds."""
-
-    def __init__(self, name: str, value, bound: str):
-        super().__init__(f"{name} must be {bound}, got {value}")
-        self.name, self.value, self.bound = name, value, bound
-
-
-def check_at_least(lows) -> None:
-    """Each (name, value, low) with value < low is a BoundError."""
-    for name, value, low in lows:
-        if value < low:
-            raise BoundError(name, value, f"at least {low}")
 
 
 @dataclass(frozen=True)
@@ -111,13 +96,13 @@ class NatModel:
     def copy_indices(self, n_src: int, T: int) -> np.ndarray:
         return (np.arange(T) * n_src) // T
 
-    def check_length(self, T: int) -> None:
-        if T < 1:
+    def check_lengths(self, lengths: Sequence[int]) -> None:
+        """Every target length must lie in 1..p_max."""
+        if min(lengths) < 1:
             raise ValueError("target length must be at least 1")
-        if T > self.dims.p_max:
-            raise CapacityError(
-                f"target length {T} exceeds position capacity {self.dims.p_max}"
-            )
+        if max(lengths) > self.dims.p_max:
+            raise CapacityError(f"target length {max(lengths)} exceeds "
+                                f"position capacity {self.dims.p_max}")
 
     def embed(self, copied: np.ndarray, pos: np.ndarray | slice) -> np.ndarray:
         """The input rows: copied source token embedding plus position."""
@@ -144,7 +129,7 @@ class NatModel:
         return Forward(probs, cache)
 
     def _forward_cache(self, source: Sequence[int], T: int) -> Forward:
-        self.check_length(T)
+        self.check_lengths([T])
         src = np.asarray(source)
         return self.forward_rows(src[self.copy_indices(len(src), T)], slice(0, T))
 
@@ -343,21 +328,11 @@ def batch_gradients(
     ranks every sentence's reference n-grams at once and runs the count
     and gradient kernels once over all of them. A batch holding a
     non-finite loss returns no gradients and the position of its first
-    such sentence."""
-    tgt_len = np.array([len(pair.target) for pair in pairs])
-    for T in tgt_len.tolist():
-        model.check_length(T)
-    src_len = np.array([len(pair.source) for pair in pairs])
-    rows, tgt_start = tgt_len.sum(), np.cumsum(tgt_len) - tgt_len
+    such sentence. Targets hold 1..p_max tokens, as `train` checks."""
+    source, src_len = stack([pair.source for pair in pairs])
+    target, tgt_len = stack([pair.target for pair in pairs])
+    rows, tgt_start = len(target), np.cumsum(tgt_len) - tgt_len
     src_start = np.cumsum(src_len) - src_len
-    source = np.fromiter(
-        itertools.chain.from_iterable(pair.source for pair in pairs),
-        np.intp, src_len.sum(),
-    )
-    target = np.fromiter(
-        itertools.chain.from_iterable(pair.target for pair in pairs),
-        np.intp, rows,
-    )
     # row r is position t of its sentence, copying source index
     # (t * S) // T as `NatModel.copy_indices` does
     pos = np.arange(rows) - np.repeat(tgt_start, tgt_len)
@@ -368,10 +343,12 @@ def batch_gradients(
     # a phase of CE weight 1 only logs the BoN value
     bon = bon_loss(probs, target, n, grad=ce_weight < 1.0, lengths=tgt_len)
     if not np.isfinite(ce.value) or not np.isfinite(bon.values).all():
-        for j, (pair, a, T) in enumerate(zip(pairs, tgt_start, tgt_len)):
-            sent_ce = cross_entropy(probs[a : a + T], pair.target)
-            if not np.isfinite(sent_ce.value) or not np.isfinite(bon.values[j]):
-                return BatchGradients({}, ce.value, 0.0, 0, j)
+        # probabilities are NaN or in [0, 1], so a sentence's clamped CE is
+        # non-finite exactly where its gradient at a target cell is
+        bad_cell = ~np.isfinite(ce.grad[np.arange(rows), target])
+        bad = np.logical_or.reduceat(bad_cell, tgt_start)
+        bad |= ~np.isfinite(bon.values)
+        return BatchGradients({}, ce.value, 0.0, 0, int(bad.argmax()))
     grads = model.backward(cache, mix(ce_weight, ce.grad, bon.grad))
     enc_sum = np.add.reduceat(model.encoder_states(source), src_start, axis=0)
     _, lp_grads, d_enc_sum = lp.loss_and_grads(enc_sum, tgt_len - src_len)
@@ -393,7 +370,8 @@ def train(
     Losses are averaged over the batch; the length predictor is trained
     jointly with its own cross-entropy at weight 1. An `init` state is
     left as it is: training starts from copies of its parameters and
-    continues its step count.
+    continues its step count. A corpus with a target outside 1..p_max
+    tokens is rejected before the first step, a CapacityError if longer.
     """
     config.validate()
     if not corpus:
@@ -411,9 +389,8 @@ def train(
             lp=LengthPredictor(init.lp.dl_max, _copy_params(init.lp.params)),
             step=init.step,
         )
-    params = dict(state.model.params)
-    params.update(state.lp.params)
-    opt = Adam(params, config.lr)
+    state.model.check_lengths([len(pair.target) for pair in corpus])
+    opt = Adam({**state.model.params, **state.lp.params}, config.lr)
 
     for ce_weight, budget in config.phases():
         for _ in range(budget):

@@ -4,12 +4,13 @@ A bag is a plain dict mapping an n-gram (tuple of token ids) to a
 positive count. Counts are stored as floats so the same container also
 holds expected counts computed from probability tables.
 
-Many sentences at once are counted with arrays: `rank_windows` gives
-each window an integer rank, and `ragged_supports` turns the ranks into
-every sentence's bag, in `count_ngrams`' key order.
+Many sentences at once are counted with arrays: `stack` lays them one
+after another, `rank_windows` ranks each window, and `ragged_supports`
+turns the ranks into every sentence's bag, in `count_ngrams`' key order.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -27,6 +28,24 @@ def count_ngrams(sentence: Sequence[int], n: int) -> NgramBag:
         g = tuple(sentence[t : t + n])
         bag[g] = bag.get(g, 0.0) + 1.0
     return bag
+
+
+def stack(seqs: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The sequences one after another as one token array, and their lengths."""
+    lengths = np.fromiter(map(len, seqs), np.int64, len(seqs))
+    tokens = np.fromiter(chain.from_iterable(seqs), np.int64, int(lengths.sum()))
+    return tokens, lengths
+
+
+def windows_inside(lengths: np.ndarray, n: int) -> np.ndarray:
+    """Whether the window of n tokens at each start 0..sum(lengths) - n of
+    a stack of sentences with these lengths lies inside one sentence."""
+    size = int(lengths.sum())
+    # the windows starting at e - n + 1 .. e - 1 run across the sentence
+    # end e; entry i + n of `inside` is the window starting at i
+    inside = np.ones(size + n, dtype=bool)
+    inside[(np.cumsum(lengths)[:, None] + np.arange(1, n)).ravel()] = False
+    return inside[n : size + 1]
 
 
 def rank_windows(
@@ -63,18 +82,10 @@ def ragged_supports(
     if n < 1:
         raise ValueError("n-gram order must be at least 1")
     lengths = np.asarray(lengths, dtype=np.int64)
-    size = int(lengths.sum())
-    if size < n:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0)
     sent = np.repeat(np.arange(len(lengths)), lengths)
     for _, code in rank_windows(tokens, sent, n):
         pass  # keep the last order's ranks, (sentence, n-gram) codes
-    # tokens from each position to the end of its sentence
-    room = np.repeat(np.cumsum(lengths), lengths)[: size - n + 1] - np.arange(
-        size - n + 1
-    )
-    pos = np.flatnonzero(room >= n)
+    pos = np.flatnonzero(windows_inside(lengths, n))
     _, first, counts = np.unique(code[pos], return_index=True, return_counts=True)
     order = np.argsort(first)
     start = pos[first[order]]

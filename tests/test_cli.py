@@ -11,7 +11,7 @@ import pytest
 
 import bonnat
 from bonnat import checkpoint as ckpt
-from bonnat import cli, corpus
+from bonnat import cli, corpus, evaluate
 from bonnat.cli import main
 from bonnat.model import NatModel
 
@@ -119,6 +119,10 @@ def no_training(*_, **__):
     raise AssertionError("training ran")
 
 
+def no_decoding(*_, **__):
+    raise AssertionError("decoding ran")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--dim", "0"], "--dim must be at least 1, got 0"),
     (["--hidden", "0"], "--hidden must be at least 1, got 0"),
@@ -131,6 +135,10 @@ def no_training(*_, **__):
     (["--lr", "0"], "--lr must be finite and positive, got 0.0"),
     (["--lr", "nan"], "--lr must be finite and positive, got nan"),
     (["--lr", "inf"], "--lr must be finite and positive, got inf"),
+    (["--alpha", "1.5"], "--alpha must be in [0, 1], got 1.5"),
+    (["--alpha", "-0.5"], "--alpha must be in [0, 1], got -0.5"),
+    (["--n", "5"], "--n must be in 1..4, got 5"),
+    (["--n", "0"], "--n must be in 1..4, got 0"),
 ])
 def test_train_flags_exit_2_before_training(flags, message, tmp_path, capsys,
                                             monkeypatch):
@@ -141,6 +149,19 @@ def test_train_flags_exit_2_before_training(flags, message, tmp_path, capsys,
     )
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_target_past_p_max_exits_2_before_training(tmp_path, capsys):
+    spec = corpus.SyntheticTaskSpec("copy", 12, 2, 33, 120, seed=0)
+    assert max(len(p.target) for p in corpus.generate_task(spec)) == 33
+    # one step's batch need not draw the long target: the corpus is checked
+    code, out, err = run(
+        ["train", *TASK, "--max-len", "33", "--steps", "1",
+         "--out", str(tmp_path / "run")], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == "error: target length 33 exceeds position capacity 32\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -277,6 +298,49 @@ def test_correlate_subset_flags_exit_2_before_reading(flags, message, tmp_path,
     assert err == f"error: {message}\n"
 
 
+def test_correlate_target_past_p_max_exits_2_before_decoding(
+    tmp_path, capsys, monkeypatch
+):
+    run_dir = train_once(tmp_path, capsys, "run",
+                         ["--max-len", "4", "--p-max", "4"])
+    monkeypatch.setattr(evaluate, "decode", no_decoding)
+    # TASK's targets run to 6 tokens, past the checkpoint's 4 positions
+    code, out, err = run(
+        ["correlate", *TASK, "--ckpt", str(run_dir / "checkpoint.bin"),
+         "--subsets", "4", "--subset-size", "10", "--out", str(tmp_path / "c")],
+        capsys,
+    )
+    assert code == 2 and out == ""
+    assert err == "error: target length 6 exceeds position capacity 4\n"
+    assert not (tmp_path / "c" / "correlation.csv").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("eval", []),
+    ("correlate", ["--subsets", "4", "--subset-size", "10"]),
+])
+def test_sidecar_digest_is_of_the_loaded_bytes(command, extra, tmp_path, capsys,
+                                               monkeypatch):
+    path = train_once(tmp_path, capsys, "run") / "checkpoint.bin"
+    loaded = sha(path)
+    load = ckpt.load
+
+    def load_then_replace(p):
+        got = load(p)
+        Path(p).write_bytes(b"replaced after loading")
+        return got
+
+    monkeypatch.setattr(ckpt, "load", load_then_replace)
+    code, _, err = run(
+        [command, *TASK, "--ckpt", str(path), *extra, "--out", str(tmp_path / "o")],
+        capsys,
+    )
+    assert code == 0, err
+    meta = json.loads((tmp_path / "o" / f"{command}_meta.json").read_text())
+    assert sha(path) != loaded
+    assert meta["checkpoint_sha256"] == loaded
+
+
 def test_correlate_rerun_identical(tmp_path, capsys):
     run_dir = train_once(tmp_path, capsys, "run")
     args = ["correlate", *TASK, "--seed", "7",
@@ -338,6 +402,10 @@ def no_trials(*_):
     (["gradcheck", "--len", "0"], "--len"),
     (["gradcheck", "--loss", "ce", "--len", "0"], "--len"),
     (["gradcheck", "--loss", "joint", "--vocab", "1"], "--vocab"),
+    (["gradcheck", "--loss", "joint", "--alpha", "2"],
+     "--alpha must be in [0, 1], got 2.0\n"),
+    (["gradcheck", "--loss", "joint", "--n", "5", "--len", "6"],
+     "--n must be in 1..4, got 5\n"),
 ])
 def test_verification_sizes_exit_2_before_any_trial(argv, flag, capsys, monkeypatch):
     monkeypatch.setattr(cli, "random_table", no_trials)

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -398,6 +401,16 @@ def test_batch_gradients_is_one_pass_per_step(monkeypatch):
     assert got.diverged is None
     assert calls == {"forward_rows": 1, "cross_entropy": 1, "bon_loss": 1,
                      "backward": 1}
+    # a NaN embedding of a token that first occurs in sentence k: the
+    # first bad sentence is read from the step's own arrays
+    k = 5
+    earlier = {t for p in corpus[:k] for t in p.source}
+    tok = next(t for t in corpus[k].source if t not in earlier)
+    model.params["src_emb"][tok, 0] = np.nan
+    calls.clear()
+    got = batch_gradients(model, lp, corpus, 0.5, 3)
+    assert got.diverged == k and got.grads == {}
+    assert calls == {"forward_rows": 1, "cross_entropy": 1, "bon_loss": 1}
 
 
 def test_non_finite_loss_names_the_first_bad_sentence():
@@ -419,6 +432,28 @@ def test_non_finite_loss_names_the_first_bad_sentence():
     assert (exc.value.step, exc.value.sentence) == (2, int(ids[k]))
 
 
+@pytest.mark.parametrize("init_p_max", [None, 6])
+def test_train_checks_capacity_before_the_first_step(init_p_max, monkeypatch):
+    corpus, dims = small_corpus(), small_dims()
+    init, p_max = None, dims.p_max
+    if init_p_max is not None:  # the init state's dims are the ones checked
+        p_max = init_p_max
+        init = train(TrainConfig(schedule="ce", steps=1, batch_size=4), corpus,
+                     dataclasses.replace(dims, p_max=p_max))
+
+    def no_step(*_):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(model_mod, "batch_gradients", no_step)
+    config = TrainConfig(schedule="ce", steps=5, batch_size=4)
+    too_long = ParallelPair((2, 3, 4), (3,) * (p_max + 1))
+    message = f"^target length {p_max + 1} exceeds position capacity {p_max}$"
+    with pytest.raises(CapacityError, match=message):
+        train(config, [*corpus, too_long], dims, init=init)
+    with pytest.raises(ValueError, match="^target length must be at least 1$"):
+        train(config, [*corpus, ParallelPair((2, 3), ())], dims, init=init)
+
+
 def test_empty_corpus_rejected():
     with pytest.raises(ValueError, match="empty"):
         train(TrainConfig(schedule="ce", steps=5), [], small_dims())
@@ -431,9 +466,10 @@ def test_checkpoint_round_trip(tmp_path):
         small_dims(),
     )
     path = tmp_path / "model.bin"
-    ckpt.save(path, state, seed=2)
+    digest = ckpt.save(path, state, seed=2)
     loaded, header = ckpt.load(path)
     assert header["seed"] == 2 and header["step"] == 10
+    assert digest == header["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
     assert loaded.model.dims == state.model.dims
     for k in state.model.params:
         assert np.array_equal(loaded.model.params[k], state.model.params[k])
