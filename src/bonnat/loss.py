@@ -112,8 +112,9 @@ def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
     )
     match = float(match[0])
     # match <= T-n+1 holds exactly; clamp the float rounding residue so
-    # the loss (and its [0,1] normalization) cannot go negative
-    value = max(0.0, 2.0 * (T - n + 1 - match))
+    # the loss (and its [0,1] normalization) cannot go negative. max(x, 0.0)
+    # returns x unless 0.0 > x, so a NaN x stays NaN
+    value = max(2.0 * (T - n + 1 - match), 0.0)
     return LossResult(value=value, grad=dp, match=match)
 
 
@@ -140,9 +141,8 @@ def _group_bon_loss(p, ref, n, grad, lengths) -> GroupLoss:
     match, dp = _match_and_grad(p, len(lengths), sent, grams, ref_counts,
                                 expected, spans, grad)
     windows = lengths - n + 1
-    # bon_l1's value, elementwise: fmax(x, 0.0) is max(0.0, x), which is
-    # 0 unless x > 0, NaN included
-    value = np.fmax(2.0 * (windows - match), 0.0)
+    # bon_l1's value, elementwise: np.maximum keeps a NaN, as max(x, 0.0)
+    value = np.maximum(2.0 * (windows - match), 0.0)
     # a degenerate sentence's value and rows are 0, whatever the divisor
     scale = 2.0 * np.maximum(windows, 1)
     values = value / scale

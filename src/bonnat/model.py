@@ -244,21 +244,41 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    def __init__(self, params: dict[str, np.ndarray], lr=1e-3):
-        self.params = params
+    """Adam over one flat float64 vector.
+
+    The constructor copies the parameters of `groups`, dicts of named
+    arrays, into one buffer in the dicts' order and replaces each entry
+    by a view of it, so the caller's dicts see every update. `m` and `v`
+    are buffers of the same size, and a step is one fused update."""
+
+    def __init__(self, *groups: dict[str, np.ndarray], lr=1e-3):
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.names = [k for group in groups for k in group]
+        self.flat = np.concatenate(
+            [group[k] for group in groups for k in group], axis=None, dtype=float
+        )
+        off = 0
+        for group in groups:
+            for k, arr in group.items():
+                group[k] = self.flat[off : off + arr.size].reshape(arr.shape)
+                off += arr.size
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grads: dict[str, np.ndarray], batch_size: int = 1) -> None:
+        """One update from `grads`, summed over `batch_size` examples: the
+        update uses their mean."""
         self.t += 1
-        for k, g in grads.items():
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
-            m_hat = self.m[k] / (1 - ADAM_BETA1**self.t)
-            v_hat = self.v[k] / (1 - ADAM_BETA2**self.t)
-            self.params[k] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g = np.concatenate([grads[k] for k in self.names], axis=None)
+        g /= batch_size
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1 - ADAM_BETA2) * g * g
+        m_hat = self.m / (1 - ADAM_BETA1**self.t)
+        v_hat = self.v / (1 - ADAM_BETA2**self.t)
+        self.flat -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -300,10 +320,6 @@ class TrainState:
     step: int = 0
     short_sentence_skips: int = 0
     log: list[dict] = field(default_factory=list)
-
-
-def _copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
 
 
 class BatchGradients(NamedTuple):
@@ -385,12 +401,13 @@ def train(
         )
     else:
         state = TrainState(
-            model=NatModel(init.model.dims, _copy_params(init.model.params)),
-            lp=LengthPredictor(init.lp.dl_max, _copy_params(init.lp.params)),
+            model=NatModel(init.model.dims, dict(init.model.params)),
+            lp=LengthPredictor(init.lp.dl_max, dict(init.lp.params)),
             step=init.step,
         )
     state.model.check_lengths([len(pair.target) for pair in corpus])
-    opt = Adam({**state.model.params, **state.lp.params}, config.lr)
+    # the state's parameters become views of the optimiser's one buffer
+    opt = Adam(state.model.params, state.lp.params, lr=config.lr)
 
     for ce_weight, budget in config.phases():
         for _ in range(budget):
@@ -403,10 +420,7 @@ def train(
             if batch.diverged is not None:
                 raise TrainingDiverged(state.step, int(idx[batch.diverged]))
             state.short_sentence_skips += batch.degenerate
-            grads = batch.grads
-            for k in grads:
-                grads[k] /= config.batch_size
-            opt.step(grads)
+            opt.step(batch.grads, config.batch_size)
             state.step += 1
             state.log.append(
                 {

@@ -5,8 +5,10 @@ positive count. Counts are stored as floats so the same container also
 holds expected counts computed from probability tables.
 
 Many sentences at once are counted with arrays: `stack` lays them one
-after another, `rank_windows` ranks each window, and `ragged_supports`
-turns the ranks into every sentence's bag, in `count_ngrams`' key order.
+after another, and `ragged_supports` codes each (sentence, n-gram)
+window as one integer and turns the codes into every sentence's bag, in
+`count_ngrams`' key order. `rank_windows` ranks the windows of each
+order instead, for BLEU and for token ids too far apart to code.
 """
 from __future__ import annotations
 
@@ -83,10 +85,21 @@ def ragged_supports(
         raise ValueError("n-gram order must be at least 1")
     lengths = np.asarray(lengths, dtype=np.int64)
     sent = np.repeat(np.arange(len(lengths)), lengths)
-    for _, code in rank_windows(tokens, sent, n):
-        pass  # keep the last order's ranks, (sentence, n-gram) codes
     pos = np.flatnonzero(windows_inside(lengths, n))
-    _, first, counts = np.unique(code[pos], return_index=True, return_counts=True)
+    lo, hi = (int(tokens.min()), int(tokens.max())) if len(tokens) else (0, 0)
+    k = hi - lo + 1
+    if len(lengths) * k**n < 2**63:
+        # (sentence, n-gram) as the digits of one base-k number, with the
+        # sentence as its leading digit: every code is below 2**63
+        ids = tokens - lo
+        code = sent[pos]
+        for j in range(n):
+            code = code * k + ids[pos + j]
+    else:
+        for _, code in rank_windows(tokens, sent, n):
+            pass  # keep the last order's ranks, (sentence, n-gram) codes
+        code = code[pos]
+    _, first, counts = np.unique(code, return_index=True, return_counts=True)
     order = np.argsort(first)
     start = pos[first[order]]
     return sent[start], start, counts[order].astype(float)

@@ -230,3 +230,17 @@ def test_group_bon_loss_needs_one_reference_token_per_row():
         bon_loss(p, np.array([0, 1, 2, 0]), 2, lengths=[2, 2])
     with pytest.raises(ValueError, match="one reference token per table row"):
         bon_loss(p, np.array([0, 1, 2, 0, 1]), 2, lengths=[2, 2])
+
+
+def test_bon_loss_of_a_nan_table_is_nan():
+    assert math.isnan(bon_loss(np.full((3, 4), np.nan), (1, 2, 3), 2).value)
+
+
+def test_group_bon_loss_keeps_a_nan_sentence_nan_beside_a_finite_one():
+    uniform = np.full((4, 4), 0.25)
+    p = np.concatenate([np.full((3, 4), np.nan), uniform])
+    got = bon_loss(p, np.array([1, 2, 3, 1, 2, 3, 1]), 2, lengths=[3, 4])
+    assert math.isnan(got.values[0])
+    # the finite sentence keeps its value, bit for bit
+    assert same_bits(got.values[1], 0.8125)
+    assert same_bits(got.values[1], bon_loss(uniform, (1, 2, 3, 1), 2).value)

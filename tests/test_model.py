@@ -319,6 +319,44 @@ def test_train_leaves_init_state_unchanged():
     assert not np.array_equal(ft.model.params["w1"], base.model.params["w1"])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_train_adam_equals_a_per_block_reference(seed):
+    """50 steps of `train` against the same loop with Adam written as one
+    update per parameter block and the batch mean taken block by block."""
+    rng = np.random.default_rng(seed)
+    dims = ModelDims(vocab=10, d=int(rng.integers(1, 9)), h=int(rng.integers(1, 17)),
+                     p_max=int(rng.integers(5, 12)), dl_max=int(rng.integers(0, 4)))
+    config = TrainConfig(schedule="bon-joint", steps=50, lr=0.01, seed=seed,
+                         batch_size=int(rng.integers(1, 9)))
+    corpus = small_corpus(seed=seed)
+    state = train(config, corpus, dims)
+
+    rng = np.random.default_rng(config.seed)
+    model, lp = NatModel.init(dims, rng), LengthPredictor.init(dims, rng)
+    params = {**model.params, **lp.params}
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(v) for k, v in params.items()}
+    b1, b2 = model_mod.ADAM_BETA1, model_mod.ADAM_BETA2
+    for t in range(1, config.steps + 1):
+        idx = rng.integers(0, len(corpus), size=config.batch_size)
+        grads = batch_gradients(model, lp, [corpus[i] for i in idx.tolist()],
+                                config.alpha, config.n).grads
+        for k in grads:
+            grads[k] /= config.batch_size
+        for k, g in grads.items():
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            m_hat = m[k] / (1 - b1**t)
+            v_hat = v[k] / (1 - b2**t)
+            params[k] -= config.lr * m_hat / (np.sqrt(v_hat) + model_mod.ADAM_EPS)
+
+    got = {**state.model.params, **state.lp.params}
+    assert list(got) == list(params)
+    for k in params:
+        assert got[k].shape == params[k].shape
+        assert got[k].tobytes() == params[k].tobytes(), k
+
+
 def per_sentence_gradients(model, lp, pairs, ce_weight, n):
     """One forward, backward and length-predictor call per sentence: the
     reference that `batch_gradients` must sum to."""
