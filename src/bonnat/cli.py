@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import resource
 import sys
 from pathlib import Path
 
@@ -314,11 +315,13 @@ def cmd_train(args) -> int:
     init_state = None
     if args.init is not None:
         init_state, _ = _load_checkpoint(args.init, vocab_size)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         state = train(config, pairs, dims, init=init_state)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     args.out.mkdir(parents=True, exist_ok=True)
     ckpt_path = args.out / "checkpoint.bin"
     digest = ckpt.save(ckpt_path, state, seed=args.seed)
@@ -334,7 +337,8 @@ def cmd_train(args) -> int:
     _write_sidecar(
         args.out / "train_meta.json", args,
         {"checkpoint_sha256": digest,
-         "short_sentence_skips": state.short_sentence_skips},
+         "short_sentence_skips": state.short_sentence_skips,
+         "minor_page_faults": faults},
     )
     last = state.log[-1]
     _result(

@@ -52,7 +52,10 @@ class JointConfig:
             raise BoundError("n", self.n, "in 1..4")
 
 
-def cross_entropy(table, ref: Sequence[int]) -> LossResult:
+def cross_entropy(table, ref: Sequence[int], dense: bool = True) -> LossResult:
+    """Summed cross-entropy of the reference tokens. Its gradient is zero
+    but at the cells (t, ref[t]), which hold -1 / p[t, ref[t]]; with
+    dense=False `grad` holds only those T values, not a T x V table."""
     p = np.asarray(table, dtype=float)
     T, V = p.shape
     if len(ref) != T:
@@ -62,17 +65,22 @@ def cross_entropy(table, ref: Sequence[int]) -> LossResult:
     rows = np.arange(T)
     picked = np.maximum(p[rows, ref], LOG_CLAMP)
     value = float(-np.log(picked).sum())
+    cells = -1.0 / picked
+    if not dense:
+        return LossResult(value=value, grad=cells)
     grad = np.zeros((T, V))
-    grad[rows, ref] = -1.0 / picked
+    grad[rows, ref] = cells
     return LossResult(value=value, grad=grad)
 
 
-def _match_and_grad(p, sentences, sent, grams, ref_counts, expected, spans, grad):
+def _match_and_grad(p, sentences, sent, grams, ref_counts, expected, spans, grad,
+                    out=None):
     """Per-sentence matches of a stack of `sentences` sentences, and the
-    stacked gradient of their BoN-L1 (None without `grad`), from the
-    reference support of each: n-gram grams[j] of sentence sent[j],
-    counted ref_counts[j] times in the reference and expected[j] times in
-    the table over the rows `spans` gives it."""
+    stacked gradient of their BoN-L1 (None without `grad`; written into
+    `out` when given), from the reference support of each: n-gram
+    grams[j] of sentence sent[j], counted ref_counts[j] times in the
+    reference and expected[j] times in the table over the rows `spans`
+    gives it."""
     # added in support order, as a running sum would
     match = np.bincount(
         sent, weights=np.minimum(expected, ref_counts), minlength=sentences
@@ -83,9 +91,11 @@ def _match_and_grad(p, sentences, sent, grams, ref_counts, expected, spans, grad
     if spans is not None:
         spans = (spans[0][active], spans[1][active])
     grams = np.array(grams, dtype=np.intp, ndmin=2)[active]
-    # doubling is exact, so this equals subtracting 2x each gram's
-    # gradient in turn from zero
-    return match, 0.0 - 2.0 * expected_count_gradient(p, grams, spans)
+    g = expected_count_gradient(p, grams, spans, out)
+    # 0.0 - 2.0 * g in place; doubling is exact, so this equals
+    # subtracting 2x each gram's gradient in turn from zero
+    g *= 2.0
+    return match, np.subtract(0.0, g, out=g)
 
 
 def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
@@ -128,7 +138,7 @@ class GroupLoss:
     degenerate: int  # sentences shorter than n
 
 
-def _group_bon_loss(p, ref, n, grad, lengths) -> GroupLoss:
+def _group_bon_loss(p, ref, n, grad, lengths, out) -> GroupLoss:
     lengths = np.asarray(lengths, dtype=np.intp)
     if len(ref) != p.shape[0] or lengths.sum() != len(ref):
         raise ValueError("a stack needs one reference token per table row")
@@ -139,7 +149,7 @@ def _group_bon_loss(p, ref, n, grad, lengths) -> GroupLoss:
     spans = (starts[sent], lengths[sent])
     expected = expected_counts(p, grams, spans)
     match, dp = _match_and_grad(p, len(lengths), sent, grams, ref_counts,
-                                expected, spans, grad)
+                                expected, spans, grad, out)
     windows = lengths - n + 1
     # bon_l1's value, elementwise: np.maximum keeps a NaN, as max(x, 0.0)
     value = np.maximum(2.0 * (windows - match), 0.0)
@@ -152,7 +162,7 @@ def _group_bon_loss(p, ref, n, grad, lengths) -> GroupLoss:
 
 
 def bon_loss(
-    table, ref: Sequence[int], n: int, grad: bool = True, lengths=None
+    table, ref: Sequence[int], n: int, grad: bool = True, lengths=None, out=None
 ) -> LossResult | GroupLoss:
     """BoN-L1 normalized to [0, 1] by the constant 2(T-n+1).
 
@@ -161,11 +171,13 @@ def bon_loss(
     the result is a `GroupLoss` whose values and gradient rows equal, bit
     for bit, this function's on each sentence's rows. Every sentence's
     support comes from one ranking of the stack's windows and its counts
-    and gradient from one kernel call each.
+    and gradient from one kernel call each. A stack's gradient is written
+    into `out`, a C-contiguous float64 array of the table's shape, when
+    one is given.
     """
     p = np.asarray(table, dtype=float)
     if lengths is not None:
-        return _group_bon_loss(p, ref, n, grad, lengths)
+        return _group_bon_loss(p, ref, n, grad, lengths, out)
     raw = bon_l1(p, ref, n, grad)
     if raw.degenerate:
         return raw
@@ -186,6 +198,28 @@ def mix(ce_weight: float, ce, bon):
     if ce_weight == 0.0:
         return bon
     return ce_weight * ce + (1.0 - ce_weight) * bon
+
+
+def mix_ce_cells(ce_weight: float, ce_cells, ref, bon: np.ndarray) -> np.ndarray:
+    """`mix(ce_weight, ce, bon)` of gradient tables, written over `bon`
+    and returned, where `ce` is the CE gradient given by its values
+    `ce_cells` at the cells (t, ref[t]) and zero elsewhere, as
+    `cross_entropy(..., dense=False)` returns it. At weight 1 the BoN
+    term is not used and `bon` only holds the result. Every entry equals
+    `mix`'s, bit for bit."""
+    if ce_weight == 0.0:
+        return bon
+    rows = np.arange(len(ref))
+    if ce_weight == 1.0:
+        bon.fill(0.0)
+        bon[rows, ref] = ce_cells
+        return bon
+    bon *= 1.0 - ce_weight
+    bon[rows, ref] += ce_weight * ce_cells
+    # off the cells `mix` adds (1 - w) * bon to w * 0.0, which turns a
+    # product that underflowed to -0.0 into +0.0
+    bon += 0.0
+    return bon
 
 
 def joint_loss(table, ref: Sequence[int], cfg: JointConfig) -> LossResult:

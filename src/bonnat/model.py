@@ -12,7 +12,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .corpus import PAD, ParallelPair
-from .loss import BoundError, JointConfig, bon_loss, check_at_least, cross_entropy, mix
+from .loss import (
+    BoundError, JointConfig, bon_loss, check_at_least, cross_entropy, mix, mix_ce_cells,
+)
 from .ngram import stack
 
 SCHEDULES = ("ce", "bon-ft", "bon-joint", "bon-joint-ft")
@@ -59,9 +61,11 @@ def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, computed in place in `logits`."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 class NatModel:
@@ -108,21 +112,30 @@ class NatModel:
         """The input rows: copied source token embedding plus position."""
         return self.params["src_emb"][copied] + self.params["pos_emb"][pos]
 
-    def layers(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def layers(
+        self, x: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The two hidden layers and the logits of embedded input rows x:
-        the affine path that training and decoding share."""
+        the affine path that training and decoding share. The logits are
+        written into `out`, a rows x V float64 array, when one is given."""
         p = self.params
         h1 = np.tanh(x @ p["w1"] + p["b1"])
         h2 = np.tanh(h1 @ p["w2"] + p["b2"])
-        return h1, h2, h2 @ p["w_out"] + p["b_out"]
+        logits = np.matmul(h2, p["w_out"], out=out)
+        logits += p["b_out"]
+        return h1, h2, logits
 
-    def forward_rows(self, copied: np.ndarray, pos: np.ndarray | slice) -> Forward:
+    def forward_rows(
+        self, copied: np.ndarray, pos: np.ndarray | slice, out: np.ndarray | None = None
+    ) -> Forward:
         """Row i is the output distribution at position pos[i] given the
         copied source token copied[i]; a training batch passes the rows of
         all its sentences at once. One sentence passes its positions as a
-        slice, which indexes the position table without a copy."""
+        slice, which indexes the position table without a copy. The
+        distributions are computed in `out`, a C-contiguous rows x V
+        float64 array, when one is given, and in a new array otherwise."""
         x = self.embed(copied, pos)
-        h1, h2, logits = self.layers(x)
+        h1, h2, logits = self.layers(x, out)
         probs = _softmax(logits)
         cache = {"copied": copied, "pos": pos, "x": x, "h1": h1, "h2": h2,
                  "probs": probs}
@@ -136,13 +149,21 @@ class NatModel:
     def forward(self, source: Sequence[int], T: int) -> Forward:
         return self._forward_cache(source, T)
 
-    def backward(self, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(
+        self, cache: dict, dprobs: np.ndarray, out: np.ndarray | None = None
+    ) -> dict[str, np.ndarray]:
         """Parameter gradients given d loss / d probability table, summed
-        over the rows of a `forward_rows` cache."""
+        over the rows of a `forward_rows` cache. The table-shaped
+        intermediates, dprobs * probs and then d loss / d logits, are
+        computed in `out`, a C-contiguous float64 array of the table's
+        shape, when one is given, and in new arrays otherwise; `dprobs`
+        is left as it is."""
         p = self.params
         probs, h1, h2, x = cache["probs"], cache["h1"], cache["h2"], cache["x"]
-        inner = (dprobs * probs).sum(axis=1, keepdims=True)
-        dlogits = probs * (dprobs - inner)
+        inner = np.multiply(dprobs, probs, out=out).sum(axis=1, keepdims=True)
+        # probs * (dprobs - inner)
+        dlogits = np.subtract(dprobs, inner, out=out)
+        dlogits *= probs
         grads = {
             "w_out": h2.T @ dlogits,
             "b_out": dlogits.sum(axis=0),
@@ -336,6 +357,7 @@ def batch_gradients(
     pairs: Sequence[ParallelPair],
     ce_weight: float,
     n: int,
+    ws: np.ndarray | None = None,
 ) -> BatchGradients:
     """Gradients of w * CE + (1 - w) * BoN and of the length predictor's
     CE, summed over `pairs`. The model is position-wise, so the batch's
@@ -344,7 +366,15 @@ def batch_gradients(
     ranks every sentence's reference n-grams at once and runs the count
     and gradient kernels once over all of them. A batch holding a
     non-finite loss returns no gradients and the position of its first
-    such sentence. Targets hold 1..p_max tokens, as `train` checks."""
+    such sentence. Targets hold 1..p_max tokens, as `train` checks.
+
+    The step's three table-sized arrays, the probabilities, the
+    backward pass's intermediates and d loss / d probabilities, are the
+    first ΣT rows of the three tables of `ws`, a C-contiguous
+    3 x rows x V float64 workspace with at least ΣT rows (ΣT, the
+    batch's target tokens), whose contents are overwritten; without
+    `ws` the step allocates one. The gradients do not depend on what
+    `ws` held before, and none of the returned arrays is a view of it."""
     source, src_len = stack([pair.source for pair in pairs])
     target, tgt_len = stack([pair.target for pair in pairs])
     rows, tgt_start = len(target), np.cumsum(tgt_len) - tgt_len
@@ -354,18 +384,22 @@ def batch_gradients(
     pos = np.arange(rows) - np.repeat(tgt_start, tgt_len)
     copy_idx = pos * np.repeat(src_len, tgt_len) // np.repeat(tgt_len, tgt_len)
     copied = source[np.repeat(src_start, tgt_len) + copy_idx]
-    probs, cache = model.forward_rows(copied, pos)
-    ce = cross_entropy(probs, target)
+    if ws is None:
+        ws = np.empty((3, rows, model.dims.vocab))
+    probs_out, backward_out, dprobs_out = ws[:, :rows]
+    probs, cache = model.forward_rows(copied, pos, probs_out)
+    ce = cross_entropy(probs, target, dense=False)
     # a phase of CE weight 1 only logs the BoN value
-    bon = bon_loss(probs, target, n, grad=ce_weight < 1.0, lengths=tgt_len)
+    bon = bon_loss(probs, target, n, grad=ce_weight < 1.0, lengths=tgt_len,
+                   out=dprobs_out)
     if not np.isfinite(ce.value) or not np.isfinite(bon.values).all():
         # probabilities are NaN or in [0, 1], so a sentence's clamped CE is
         # non-finite exactly where its gradient at a target cell is
-        bad_cell = ~np.isfinite(ce.grad[np.arange(rows), target])
-        bad = np.logical_or.reduceat(bad_cell, tgt_start)
+        bad = np.logical_or.reduceat(~np.isfinite(ce.grad), tgt_start)
         bad |= ~np.isfinite(bon.values)
         return BatchGradients({}, ce.value, 0.0, 0, int(bad.argmax()))
-    grads = model.backward(cache, mix(ce_weight, ce.grad, bon.grad))
+    dprobs = mix_ce_cells(ce_weight, ce.grad, target, dprobs_out)
+    grads = model.backward(cache, dprobs, backward_out)
     enc_sum = np.add.reduceat(model.encoder_states(source), src_start, axis=0)
     _, lp_grads, d_enc_sum = lp.loss_and_grads(enc_sum, tgt_len - src_len)
     grads.update(lp_grads)
@@ -405,9 +439,13 @@ def train(
             lp=LengthPredictor(init.lp.dl_max, dict(init.lp.params)),
             step=init.step,
         )
-    state.model.check_lengths([len(pair.target) for pair in corpus])
+    lengths = [len(pair.target) for pair in corpus]
+    state.model.check_lengths(lengths)
     # the state's parameters become views of the optimiser's one buffer
     opt = Adam(state.model.params, state.lp.params, lr=config.lr)
+    # every step's tables are row slices of one workspace, so the same
+    # memory serves the whole run
+    ws = np.empty((3, config.batch_size * max(lengths), state.model.dims.vocab))
 
     for ce_weight, budget in config.phases():
         for _ in range(budget):
@@ -415,7 +453,7 @@ def train(
             idx = rng.integers(0, len(corpus), size=config.batch_size)
             batch = batch_gradients(
                 state.model, state.lp, [corpus[i] for i in idx.tolist()],
-                ce_weight, config.n,
+                ce_weight, config.n, ws,
             )
             if batch.diverged is not None:
                 raise TrainingDiverged(state.step, int(idx[batch.diverged]))

@@ -109,16 +109,18 @@ def expected_bag(table, support: Mapping[Ngram, float]) -> NgramBag:
     return dict(zip(grams, expected_counts(p, grams).tolist()))
 
 
-def expected_count_gradient(table, grams, spans=None) -> np.ndarray:
-    """d expected_ngram_count / d p(y_t = w), a table-shaped matrix,
-    summed over `grams`: one n-gram or a k x n array of them, each over
-    its span of rows as in `expected_counts`.
+def expected_count_gradient(table, grams, spans=None, out=None) -> np.ndarray:
+    """d expected_ngram_count / d p(y_t = w), a table-shaped float64
+    matrix, summed over `grams`: one n-gram or a k x n array of them,
+    each over its span of rows as in `expected_counts`. It is written
+    into `out`, a C-contiguous float64 array of the table's shape, when
+    one is given, and into a new array otherwise.
 
     The result equals, bit for bit, adding one gram's gradient after
     another, each accumulated window by window. The first scatter adds
     each gram's terms in (t, i) order into a per-gram stage, whose slots
     are the gram's distinct tokens at each row of its span; the second
-    adds the stages into the table in gram order.
+    adds the stages into the zeroed table in gram order.
     """
     p = np.asarray(table, dtype=float)
     R, V = p.shape
@@ -138,4 +140,9 @@ def expected_count_gradient(table, grams, spans=None) -> np.ndarray:
         weights=_leave_one_out(_factors(p, grams, start, count)).ravel(),
         minlength=cells.size,
     )
-    return np.bincount(cells.ravel(), weights=stage, minlength=R * V).reshape(R, V)
+    if out is None:
+        out = np.zeros((R, V))
+    else:
+        out.fill(0.0)
+    np.add.at(out.reshape(-1), cells.ravel(), stage)
+    return out

@@ -66,6 +66,9 @@ def test_train_writes_outputs(tmp_path, capsys):
     meta = json.loads((out_dir / "train_meta.json").read_text())
     assert meta["checkpoint_sha256"] == sha(out_dir / "checkpoint.bin")
     assert meta["short_sentence_skips"] == int(skips.group(1))
+    # the process's minor page faults during `train()`
+    faults = meta["minor_page_faults"]
+    assert isinstance(faults, int) and faults >= 0
     with (out_dir / "train_log.csv").open() as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 40

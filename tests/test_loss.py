@@ -12,7 +12,9 @@ from bonnat.gradcheck import (
     random_table,
     worst_rel_error,
 )
-from bonnat.loss import JointConfig, bon_l1, bon_loss, cross_entropy, joint_loss
+from bonnat.loss import (
+    JointConfig, bon_l1, bon_loss, cross_entropy, joint_loss, mix, mix_ce_cells,
+)
 from bonnat.ngram import count_ngrams
 from bonnat.probmodel import expected_ngram_count
 
@@ -244,3 +246,45 @@ def test_group_bon_loss_keeps_a_nan_sentence_nan_beside_a_finite_one():
     # the finite sentence keeps its value, bit for bit
     assert same_bits(got.values[1], 0.8125)
     assert same_bits(got.values[1], bon_loss(uniform, (1, 2, 3, 1), 2).value)
+
+
+@pytest.mark.parametrize("fill, lengths", [(0.25, [1, 2, 1]), (np.nan, [3, 4])])
+def test_group_bon_loss_with_no_active_gram_has_float_zero_rows(fill, lengths):
+    """No reference n-gram is active when every sentence is shorter than
+    n, or when the table is NaN (NaN <= count is false). The gradient is
+    then float64 zeros, allocated or written over a NaN buffer."""
+    R = sum(lengths)
+    p = np.full((R, 4), fill)
+    ref = np.arange(R) % 4
+    for out in (None, np.full((R, 4), np.nan)):
+        got = bon_loss(p, ref, 3, lengths=lengths, out=out)
+        assert got.grad.dtype == np.float64
+        assert got.grad.tobytes() == np.zeros((R, 4)).tobytes()
+        if out is not None:
+            assert got.grad is out
+
+
+@pytest.mark.parametrize("ce_weight", [0.0, 0.1, 0.5, 1.0])
+def test_mix_ce_cells_equals_mix(ce_weight):
+    rng = np.random.default_rng(2)
+    T, V = 6, 5
+    table = random_table(rng, T, V)
+    ref = rng.integers(0, V, size=T)
+    dense = cross_entropy(table, ref)
+    cells = cross_entropy(table, ref, dense=False)
+    assert cells.value == dense.value
+    assert same_bits(cells.grad, dense.grad[np.arange(T), ref])
+    bon = rng.normal(size=(T, V))
+    # off the target cells (1 - w) * -5e-324 is -0.0 at w = 0.5, which
+    # mix turns into +0.0
+    col = (ref[0] + 1) % V
+    bon[0, col] = -5e-324
+    want = mix(ce_weight, dense.grad, bon.copy())
+    if ce_weight == 0.5:
+        assert np.signbit((1.0 - ce_weight) * bon[0, col])
+        assert want[0, col] == 0.0 and not np.signbit(want[0, col])
+    # at weight 1 the BoN table is only the output
+    buf = np.full((T, V), np.nan) if ce_weight == 1.0 else bon.copy()
+    got = mix_ce_cells(ce_weight, cells.grad, ref, buf)
+    assert got is buf
+    assert same_bits(got, want)

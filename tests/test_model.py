@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -449,6 +450,58 @@ def test_batch_gradients_is_one_pass_per_step(monkeypatch):
     got = batch_gradients(model, lp, corpus, 0.5, 3)
     assert got.diverged == k and got.grads == {}
     assert calls == {"forward_rows": 1, "cross_entropy": 1, "bon_loss": 1}
+
+
+@pytest.mark.parametrize("schedule", ["ce", "bon-joint", "bon-joint-ft"])
+def test_train_workspace_reuse_is_invisible(schedule):
+    """`train` reuses one workspace for every step, here with ΣT changing
+    from step to step, in phases of CE weight 1, alpha and 0. Stepping
+    `batch_gradients` through the same Adam, once with a fresh workspace
+    per step and once with one refilled with NaN between steps, gives
+    the same parameters bit for bit."""
+    dims = ModelDims(vocab=30, d=5, h=9, p_max=30, dl_max=3)
+    corpus = generate_task(SyntheticTaskSpec("dict", 30, 2, 30, 60, seed=4))
+    assert {len(p.target) for p in corpus} >= {2, 30}
+    config = TrainConfig(schedule=schedule, n=3, lr=0.01, steps=25, ft_steps=15,
+                         batch_size=5, seed=6)
+    want = train(config, corpus, dims)
+    want = {**want.model.params, **want.lp.params}
+    ws = np.empty((3, config.batch_size * 30, dims.vocab))
+    for shared in (None, ws):
+        rng = np.random.default_rng(config.seed)
+        model, lp = NatModel.init(dims, rng), LengthPredictor.init(dims, rng)
+        opt = Adam(model.params, lp.params, lr=config.lr)
+        for ce_weight, budget in config.phases():
+            for _ in range(budget):
+                idx = rng.integers(0, len(corpus), size=config.batch_size)
+                ws.fill(np.nan)
+                batch = batch_gradients(model, lp, [corpus[i] for i in idx.tolist()],
+                                        ce_weight, config.n, shared)
+                opt.step(batch.grads, config.batch_size)
+        got = {**model.params, **lp.params}
+        for k in want:
+            assert got[k].tobytes() == want[k].tobytes(), (shared is None, k)
+
+
+def test_batch_gradients_allocates_less_than_two_tables():
+    """A warm long-n3 step (batch 16, targets of 16-30 tokens, V = 200,
+    n = 3, w = 0.1) given its workspace allocates, at its peak, less than
+    two ΣT x V tables besides it."""
+    dims = ModelDims(vocab=200, d=16, h=32, p_max=32, dl_max=8)
+    corpus = generate_task(SyntheticTaskSpec("dict", 200, 16, 30, 16, seed=3))
+    model, lp = fresh(1, dims)
+    rows = sum(len(p.target) for p in corpus)
+    ws = np.empty((3, rows, dims.vocab))
+    batch_gradients(model, lp, corpus, 0.1, 3, ws)
+    tracemalloc.start()
+    try:
+        batch = batch_gradients(model, lp, corpus, 0.1, 3, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.diverged is None
+    table = rows * dims.vocab * 8
+    assert peak < 2 * table, peak / table
 
 
 def test_non_finite_loss_names_the_first_bad_sentence():
