@@ -1,6 +1,6 @@
 """Versioned binary checkpoints: a fixed header followed by named
-parameter blocks of little-endian float64. Writes are atomic
-(temp file then rename).
+parameter blocks of little-endian float64, each of the shape that the
+header's dims give it. Writes are atomic (temp file then rename).
 """
 from __future__ import annotations
 
@@ -54,20 +54,19 @@ def load(path: str | Path) -> tuple[TrainState, dict]:
     except struct.error as exc:
         raise CheckpointError(f"truncated checkpoint {path}: {exc}") from None
     version, vocab, d, h, p_max, dl_max, seed, step = fields
-    missing = [
-        k for k in NatModel.PARAM_NAMES + LengthPredictor.PARAM_NAMES
-        if k not in blocks
-    ]
-    if missing:
-        raise CheckpointError(
-            f"incomplete checkpoint {path}: no block {', '.join(missing)}"
-        )
     dims = ModelDims(vocab=vocab, d=d, h=h, p_max=p_max, dl_max=dl_max)
-    model_params = {k: blocks[k] for k in NatModel.PARAM_NAMES}
-    lp_params = {k: blocks[k] for k in LengthPredictor.PARAM_NAMES}
+    model_shapes, lp_shapes = NatModel.shapes(dims), LengthPredictor.shapes(dims)
+    for k, shape in {**model_shapes, **lp_shapes}.items():
+        if k not in blocks:
+            raise CheckpointError(f"incomplete checkpoint {path}: no block {k}")
+        if blocks[k].shape != shape:
+            raise CheckpointError(
+                f"mis-shaped checkpoint {path}: block {k} has shape "
+                f"{blocks[k].shape}, the header dims give {shape}"
+            )
     state = TrainState(
-        model=NatModel(dims, model_params),
-        lp=LengthPredictor(dl_max, lp_params),
+        model=NatModel(dims, {k: blocks[k] for k in model_shapes}),
+        lp=LengthPredictor(dl_max, {k: blocks[k] for k in lp_shapes}),
         step=step,
     )
     header = {"version": version, "seed": seed, "step": step, "dims": dims,

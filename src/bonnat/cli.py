@@ -87,11 +87,23 @@ def _add_corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vocab-file", type=Path, default=None)
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dim", type=int, default=16)
-    p.add_argument("--hidden", type=int, default=32)
-    p.add_argument("--p-max", type=int, default=32)
-    p.add_argument("--dl-max", type=int, default=8)
+# the argument, and so the --flag, that sets each ModelDims and TrainConfig
+# field and takes its default and type; TrainConfig.seed is the common --seed
+_DIMS_ARGS = {"d": "dim", "h": "hidden", "p_max": "p_max", "dl_max": "dl_max"}
+_CONFIG_ARGS = {
+    "schedule": "schedule", "alpha": "alpha", "n": "n", "steps": "steps",
+    "ft_steps": "ft_steps", "batch_size": "batch", "lr": "lr",
+}
+
+
+def _add_field_flags(p: argparse.ArgumentParser, cls, args: dict[str, str]) -> None:
+    """The --flag of each `cls` field that `args` names, with the field's
+    default and that default's type."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    for name, arg in args.items():
+        p.add_argument("--" + arg.replace("_", "-"), type=type(defaults[name]),
+                       default=defaults[name],
+                       choices=SCHEDULES if name == "schedule" else None)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -106,14 +118,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("train", help="train a model")
     _add_common(p)
     _add_corpus_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--schedule", choices=SCHEDULES, default="ce")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--ft-steps", type=int, default=500)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-3)
+    _add_field_flags(p, ModelDims, _DIMS_ARGS)
+    _add_field_flags(p, TrainConfig, _CONFIG_ARGS)
     p.add_argument("--init", type=Path, default=None)
 
     p = sub.add_parser("eval", help="BLEU and removed-token reports")
@@ -140,8 +146,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
     _add_common(p, out=False)
     p.add_argument("--loss", choices=("ce", "bon", "joint"), default="bon")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.1)
+    _add_field_flags(p, JointConfig, {"n": "n", "alpha": "alpha"})
     p.add_argument("--vocab", type=int, default=4)
     p.add_argument("--len", type=int, default=4, dest="length")
     p.add_argument("--trials", type=int, default=20)
@@ -273,16 +278,6 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-# the argument, and so the --flag, that sets each ModelDims and
-# TrainConfig field
-_DIMS_ARGS = {"d": "dim", "h": "hidden", "p_max": "p_max", "dl_max": "dl_max"}
-_CONFIG_ARGS = {
-    "schedule": "schedule", "alpha": "alpha", "n": "n", "lr": "lr",
-    "steps": "steps", "ft_steps": "ft_steps", "batch_size": "batch",
-    "seed": "seed",
-}
-
-
 def _flag_bound(exc: BoundError) -> BoundError:
     """A ModelDims, TrainConfig or JointConfig field's BoundError, named by its flag."""
     arg = {**_DIMS_ARGS, **_CONFIG_ARGS}[exc.name]
@@ -299,7 +294,7 @@ def _train_setup(args) -> tuple[TrainConfig, ModelDims]:
             **{f: getattr(args, a) for f, a in _DIMS_ARGS.items()},
         )
         config = TrainConfig(
-            **{f: getattr(args, a) for f, a in _CONFIG_ARGS.items()}
+            seed=args.seed, **{f: getattr(args, a) for f, a in _CONFIG_ARGS.items()}
         )
         config.validate()
     except BoundError as exc:

@@ -124,7 +124,7 @@ def _sentence_loss_table(
         table[f"bon{n}"] = []
     for pair in corpus:
         probs = model.forward(pair.source, len(pair.target)).probs
-        ce = cross_entropy(probs, pair.target)
+        ce = cross_entropy(probs, pair.target, dense=False)
         table["ce"].append(ce.value / len(pair.target))
         for n in CORRELATION_ORDERS:
             table[f"bon{n}"].append(

@@ -99,7 +99,10 @@ def _match_and_grad(p, sentences, sent, grams, ref_counts, expected, spans, grad
 
 
 def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
-    """L1 distance between expected and reference bags: 2(T-n+1-match).
+    """2(T-n+1-match): the L1 distance between expected and reference bags
+    when len(ref) == T, and otherwise 2 sum_g max(E_g - R_g, 0). At n = 2
+    the one-hot table of (0, 1, 0, 1) against ref (0, 1) gives 4.0, not the
+    L1 distance 2, and that of (0, 1) against (0, 1, 0, 1) gives 0.0, not 2.
 
     The subgradient at min ties flows through the expected count, i.e.
     an n-gram contributes gradient whenever expected <= reference. With
@@ -164,7 +167,8 @@ def _group_bon_loss(p, ref, n, grad, lengths, out) -> GroupLoss:
 def bon_loss(
     table, ref: Sequence[int], n: int, grad: bool = True, lengths=None, out=None
 ) -> LossResult | GroupLoss:
-    """BoN-L1 normalized to [0, 1] by the constant 2(T-n+1).
+    """`bon_l1` normalized to [0, 1] by the constant 2(T-n+1); like it, a
+    normalized L1 distance only when len(ref) == T.
 
     With `lengths`, `table` stacks the tables of len(lengths) sentences,
     one after another, and `ref` their references, one token per row:

@@ -13,7 +13,8 @@ import numpy as np
 
 from .corpus import PAD, ParallelPair
 from .loss import (
-    BoundError, JointConfig, bon_loss, check_at_least, cross_entropy, mix, mix_ce_cells,
+    LOG_CLAMP, BoundError, JointConfig, bon_loss, check_at_least, cross_entropy, mix,
+    mix_ce_cells,
 )
 from .ngram import stack
 
@@ -60,6 +61,11 @@ def _scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat, weights=rows.ravel(), minlength=n * d).reshape(n, d)
 
 
+def _uniform(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator):
+    """One array per name, drawn from U(-0.1, 0.1) in the order of `shapes`."""
+    return {k: rng.uniform(-0.1, 0.1, size=shape) for k, shape in shapes.items()}
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in place in `logits`."""
     logits -= logits.max(axis=-1, keepdims=True)
@@ -71,28 +77,23 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 class NatModel:
     """Two affine+tanh layers position-wise, then a softmax projection."""
 
-    PARAM_NAMES = ("src_emb", "pos_emb", "w1", "b1", "w2", "b2", "w_out", "b_out")
-
     def __init__(self, dims: ModelDims, params: dict[str, np.ndarray]):
         self.dims = dims
         self.params = params
 
+    @staticmethod
+    def shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape, in the order `init` draws them."""
+        return {
+            "src_emb": (dims.vocab, dims.d), "pos_emb": (dims.p_max, dims.d),
+            "w1": (dims.d, dims.h), "b1": (dims.h,),
+            "w2": (dims.h, dims.d), "b2": (dims.d,),
+            "w_out": (dims.d, dims.vocab), "b_out": (dims.vocab,),
+        }
+
     @classmethod
     def init(cls, dims: ModelDims, rng: np.random.Generator) -> "NatModel":
-        def u(*shape):
-            return rng.uniform(-0.1, 0.1, size=shape)
-
-        params = {
-            "src_emb": u(dims.vocab, dims.d),
-            "pos_emb": u(dims.p_max, dims.d),
-            "w1": u(dims.d, dims.h),
-            "b1": u(dims.h),
-            "w2": u(dims.h, dims.d),
-            "b2": u(dims.d),
-            "w_out": u(dims.d, dims.vocab),
-            "b_out": u(dims.vocab),
-        }
-        return cls(dims, params)
+        return cls(dims, _uniform(cls.shapes(dims), rng))
 
     def encoder_states(self, source: Sequence[int]) -> np.ndarray:
         return self.params["src_emb"][np.asarray(source)]
@@ -187,20 +188,19 @@ class LengthPredictor:
     """Softmax classifier over length differences in [-dl_max, dl_max],
     fed the sum of encoder states after an affine map."""
 
-    PARAM_NAMES = ("lp_w", "lp_b")
-
     def __init__(self, dl_max: int, params: dict[str, np.ndarray]):
         self.dl_max = dl_max
         self.params = params
 
+    @staticmethod
+    def shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape, in the order `init` draws them."""
+        k = 2 * dims.dl_max + 1
+        return {"lp_w": (dims.d, k), "lp_b": (k,)}
+
     @classmethod
     def init(cls, dims: ModelDims, rng: np.random.Generator) -> "LengthPredictor":
-        k = 2 * dims.dl_max + 1
-        params = {
-            "lp_w": rng.uniform(-0.1, 0.1, size=(dims.d, k)),
-            "lp_b": rng.uniform(-0.1, 0.1, size=k),
-        }
-        return cls(dims.dl_max, params)
+        return cls(dims.dl_max, _uniform(cls.shapes(dims), rng))
 
     def logits(self, enc_sum: np.ndarray) -> np.ndarray:
         return enc_sum @ self.params["lp_w"] + self.params["lp_b"]
@@ -226,7 +226,7 @@ class LengthPredictor:
         probs = self.class_probs(enc_sum)
         target = np.arange(probs.shape[1]) == cls_idx[:, None]
         picked = (probs * target).sum(axis=1)
-        value = float(-np.log(np.maximum(picked, 1e-12)).sum())
+        value = float(-np.log(np.maximum(picked, LOG_CLAMP)).sum())
         dlogits = probs - target
         grads = {"lp_w": enc_sum.T @ dlogits, "lp_b": dlogits.sum(axis=0)}
         d_enc_sum = dlogits @ self.params["lp_w"].T
@@ -305,8 +305,8 @@ class Adam:
 @dataclass
 class TrainConfig:
     schedule: str = "ce"
-    alpha: float = 0.1
-    n: int = 2
+    alpha: float = JointConfig.alpha
+    n: int = JointConfig.n
     lr: float = 1e-3
     steps: int = 1000
     ft_steps: int = 500

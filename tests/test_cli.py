@@ -218,18 +218,47 @@ def truncated(run_dir, path):
     path.write_bytes((run_dir / "checkpoint.bin").read_bytes()[:20])
 
 
+def cut_inside_a_block(run_dir, path):
+    path.write_bytes((run_dir / "checkpoint.bin").read_bytes()[:-8])
+
+
 def missing_a_block(run_dir, path):
     state, header = ckpt.load(run_dir / "checkpoint.bin")
     del state.lp.params["lp_b"]
     ckpt.save(path, state, seed=header["seed"])
 
 
-@pytest.mark.parametrize(
-    "damage,message",
-    [(truncated, "truncated checkpoint"), (missing_a_block, "incomplete checkpoint")],
-    ids=["truncated", "missing-block"],
-)
-def test_eval_broken_checkpoint_exits_2(tmp_path, capsys, damage, message):
+def reshaped(name, shape):
+    def damage(run_dir, path):
+        state, header = ckpt.load(run_dir / "checkpoint.bin")
+        params = state.lp.params if name in state.lp.params else state.model.params
+        params[name] = params[name].reshape(shape)
+        ckpt.save(path, state, seed=header["seed"])
+    return damage
+
+
+def last_block_ndim_zero(run_dir, path):
+    data = bytearray((run_dir / "checkpoint.bin").read_bytes())
+    lp_b = ckpt.load(run_dir / "checkpoint.bin")[0].lp.params["lp_b"]
+    # the last block, lp_b, ends in its ndim byte, one shape int and its data
+    at = len(data) - lp_b.nbytes - 4 - 1
+    assert data[at] == 1
+    data[at] = 0
+    path.write_bytes(data)
+
+
+@pytest.mark.parametrize("damage, kind, detail", [
+    (truncated, "truncated", ""),
+    (cut_inside_a_block, "truncated", "block 'lp_b' runs past the end of the data"),
+    (missing_a_block, "incomplete", "no block lp_b"),
+    (reshaped("lp_b", (17, 1)), "mis-shaped",
+     "block lp_b has shape (17, 1), the header dims give (17,)"),
+    (reshaped("b_out", (1, 12)), "mis-shaped",
+     "block b_out has shape (1, 12), the header dims give (12,)"),
+    (last_block_ndim_zero, "mis-shaped", "block lp_b has shape (), "),
+], ids=["truncated", "cut-inside-a-block", "missing-block", "lp_b-17x1",
+        "b_out-1xV", "ndim-0"])
+def test_eval_broken_checkpoint_exits_2(tmp_path, capsys, damage, kind, detail):
     broken = tmp_path / "broken.bin"
     damage(train_once(tmp_path, capsys, "run"), broken)
     code, out, err = run(
@@ -238,7 +267,30 @@ def test_eval_broken_checkpoint_exits_2(tmp_path, capsys, damage, message):
     )
     assert code == 2
     assert out == ""
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert err.startswith(f"error: {kind} checkpoint {broken}: {detail}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "ev").exists()
+
+
+NO_CORPUS = "need either --task or --src/--tgt/--vocab-file"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", *TASK, "--config", "missing.ini"], "config file not found: missing.ini"),
+    (["train", "--src", "src.txt"], "file corpus needs --src, --tgt and --vocab-file"),
+    (["train"], NO_CORPUS),
+    (["eval", "--ckpt", "x.bin"], NO_CORPUS),
+    (["correlate", "--ckpt", "x.bin"], NO_CORPUS),
+    (["gen-data"], "gen-data needs --task"),
+], ids=["missing-config", "src-alone", "train-no-corpus", "eval-no-corpus",
+        "correlate-no-corpus", "gen-data-no-task"])
+def test_usage_errors_exit_2_with_one_line(argv, message, tmp_path, capsys,
+                                           monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([*argv, "--out", "out"], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_rerun_bit_identical(tmp_path, capsys):

@@ -65,6 +65,12 @@ def test_bon_l1_disjoint_one_hot():
     assert res.match == pytest.approx(0.0)
 
 
+def test_bon_l1_of_unequal_lengths_is_the_tables_excess():
+    # 2 * sum_g max(E_g - R_g, 0); the L1 distance is 2 in both cases
+    assert bon_l1(one_hot_table((0, 1, 0, 1), 2), (0, 1), 2).value == 4.0
+    assert bon_l1(one_hot_table((0, 1), 2), (0, 1, 0, 1), 2).value == 0.0
+
+
 def test_bon_hand_computed_case():
     table = np.full((2, 2), 0.5)
     raw = bon_l1(table, (0, 1), 2)

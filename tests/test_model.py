@@ -35,6 +35,21 @@ def fresh(seed=0, dims=DIMS):
     return NatModel.init(dims, rng), LengthPredictor.init(dims, rng)
 
 
+def test_init_draws_each_shape_in_order():
+    rng = np.random.default_rng(5)
+    model, lp = NatModel.init(DIMS, rng), LengthPredictor.init(DIMS, rng)
+    params = {**model.params, **lp.params}
+    shapes = {**NatModel.shapes(DIMS), **LengthPredictor.shapes(DIMS)}
+    assert [(k, a.shape) for k, a in params.items()] == list(shapes.items())
+    # a new name, order, shape or draw would change every trained checkpoint
+    digest = hashlib.sha256()
+    for k, a in params.items():
+        digest.update(k.encode() + repr(a.shape).encode() + a.tobytes())
+    assert digest.hexdigest() == (
+        "38bdc93146e4fcd0d650429bbc6dc66a903e018fef0d48b9657c9c0fc4f2e57d"
+    )
+
+
 def test_forward_is_deterministic():
     model, _ = fresh()
     a = model.forward((2, 3, 4), 3).probs
