@@ -5,12 +5,14 @@ header's dims give it. Writes are atomic (temp file then rename).
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .loss import BoundError
 from .model import LengthPredictor, ModelDims, NatModel, TrainState
 
 MAGIC = b"BONNATCK"
@@ -50,11 +52,15 @@ def load(path: str | Path) -> tuple[TrainState, dict]:
     if data[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"not a checkpoint file: {path}")
     try:
-        fields, blocks = _read(data)
+        fields, blocks, end = _read(data)
+        version, vocab, d, h, p_max, dl_max, seed, step = fields
+        dims = ModelDims(vocab=vocab, d=d, h=h, p_max=p_max, dl_max=dl_max)
     except struct.error as exc:
         raise CheckpointError(f"truncated checkpoint {path}: {exc}") from None
-    version, vocab, d, h, p_max, dl_max, seed, step = fields
-    dims = ModelDims(vocab=vocab, d=d, h=h, p_max=p_max, dl_max=dl_max)
+    except BoundError as exc:
+        raise CheckpointError(f"malformed checkpoint {path}: header {exc}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from None
     model_shapes, lp_shapes = NatModel.shapes(dims), LengthPredictor.shapes(dims)
     for k, shape in {**model_shapes, **lp_shapes}.items():
         if k not in blocks:
@@ -64,6 +70,12 @@ def load(path: str | Path) -> tuple[TrainState, dict]:
                 f"mis-shaped checkpoint {path}: block {k} has shape "
                 f"{blocks[k].shape}, the header dims give {shape}"
             )
+    # checked after the blocks: a damaged shape also leaves bytes over
+    if end < len(data):
+        raise CheckpointError(
+            f"malformed checkpoint {path}: {len(data) - end} bytes after "
+            "the last block"
+        )
     state = TrainState(
         model=NatModel(dims, {k: blocks[k] for k in model_shapes}),
         lp=LengthPredictor(dl_max, {k: blocks[k] for k in lp_shapes}),
@@ -74,29 +86,36 @@ def load(path: str | Path) -> tuple[TrainState, dict]:
     return state, header
 
 
-def _read(data: bytes) -> tuple[tuple, dict[str, np.ndarray]]:
-    """Header fields and named blocks; struct.error if data ends early."""
+def _read(data: bytes) -> tuple[tuple, dict[str, np.ndarray], int]:
+    """Header fields, named blocks and the offset where the last block
+    ends; struct.error if data ends early, ValueError if it cannot be
+    decoded."""
     off = len(MAGIC)
     fields = _HEADER.unpack_from(data, off)
     if fields[0] != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {fields[0]}")
+        raise ValueError(f"unsupported version {fields[0]}")
     off += _HEADER.size
     (count,) = struct.unpack_from("<I", data, off)
     off += 4
     blocks: dict[str, np.ndarray] = {}
-    for _ in range(count):
+    for i in range(count):
         (name_len,) = struct.unpack_from("<H", data, off)
         off += 2
-        name = data[off : off + name_len].decode("utf-8")
+        try:
+            name = data[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"the name of block {i} is not UTF-8 ({exc})") from None
         off += name_len
         (ndim,) = struct.unpack_from("<B", data, off)
         off += 1
         shape = struct.unpack_from(f"<{ndim}i", data, off)
         off += 4 * ndim
-        size = int(np.prod(shape)) * 8
+        if min(shape, default=0) < 0:
+            raise ValueError(f"block {name!r} has shape {shape}")
+        size = math.prod(shape) * 8
         if off + size > len(data):
             raise struct.error(f"block {name!r} runs past the end of the data")
         arr = np.frombuffer(data[off : off + size], dtype="<f8").reshape(shape)
         blocks[name] = arr.copy()
         off += size
-    return fields, blocks
+    return fields, blocks, off

@@ -12,7 +12,9 @@ from typing import Sequence
 import numpy as np
 
 from .ngram import count_ngrams, ragged_supports
-from .probmodel import expected_bag, expected_count_gradient, expected_counts
+from .probmodel import (
+    expected_bag, expected_count_gradient, expected_counts, factor_pairs,
+)
 
 LOG_CLAMP = 1e-12
 
@@ -73,25 +75,22 @@ def cross_entropy(table, ref: Sequence[int], dense: bool = True) -> LossResult:
     return LossResult(value=value, grad=grad)
 
 
-def _match_and_grad(p, sentences, sent, grams, ref_counts, expected, spans, grad,
-                    out=None):
+def _match_and_grad(p, sentences, sent, grams, ref_counts, expected, grad,
+                    out=None, pairs=None):
     """Per-sentence matches of a stack of `sentences` sentences, and the
     stacked gradient of their BoN-L1 (None without `grad`; written into
     `out` when given), from the reference support of each: n-gram
     grams[j] of sentence sent[j], counted ref_counts[j] times in the
-    reference and expected[j] times in the table over the rows `spans`
-    gives it."""
+    reference and expected[j] times in the table over the (gram, window)
+    `pairs` that counted it, or over the whole table without them."""
     # added in support order, as a running sum would
     match = np.bincount(
         sent, weights=np.minimum(expected, ref_counts), minlength=sentences
     )
     if not grad:
         return match, None
-    active = expected <= ref_counts
-    if spans is not None:
-        spans = (spans[0][active], spans[1][active])
-    grams = np.array(grams, dtype=np.intp, ndmin=2)[active]
-    g = expected_count_gradient(p, grams, spans, out)
+    g = expected_count_gradient(p, grams, out=out, pairs=pairs,
+                                active=expected <= ref_counts)
     # 0.0 - 2.0 * g in place; doubling is exact, so this equals
     # subtracting 2x each gram's gradient in turn from zero
     g *= 2.0
@@ -120,8 +119,7 @@ def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
     match, dp = _match_and_grad(
         p, 1, np.zeros(k, dtype=np.intp), list(ref_bag),
         np.fromiter(ref_bag.values(), float, k),
-        np.fromiter(model_bag.values(), float, k),
-        None, grad,
+        np.fromiter(model_bag.values(), float, k), grad,
     )
     match = float(match[0])
     # match <= T-n+1 holds exactly; clamp the float rounding residue so
@@ -149,10 +147,11 @@ def _group_bon_loss(p, ref, n, grad, lengths, out) -> GroupLoss:
     sent, first, ref_counts = ragged_supports(ref, lengths, n)
     grams = ref[first[:, None] + np.arange(n)]
     starts = np.cumsum(lengths) - lengths
-    spans = (starts[sent], lengths[sent])
-    expected = expected_counts(p, grams, spans)
+    # one gather of the factors serves the counts and the gradient
+    pairs = factor_pairs(p, grams, (starts[sent], lengths[sent]))
+    expected = expected_counts(p, grams, pairs=pairs)
     match, dp = _match_and_grad(p, len(lengths), sent, grams, ref_counts,
-                                expected, spans, grad, out)
+                                expected, grad, out, pairs)
     windows = lengths - n + 1
     # bon_l1's value, elementwise: np.maximum keeps a NaN, as max(x, 0.0)
     value = np.maximum(2.0 * (windows - match), 0.0)

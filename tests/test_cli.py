@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -247,6 +248,36 @@ def last_block_ndim_zero(run_dir, path):
     path.write_bytes(data)
 
 
+def last_block_negative_dim(run_dir, path):
+    data = bytearray((run_dir / "checkpoint.bin").read_bytes())
+    lp_b = ckpt.load(run_dir / "checkpoint.bin")[0].lp.params["lp_b"]
+    # the last block, lp_b, ends in its one shape int and its data
+    at = len(data) - lp_b.nbytes - 4
+    struct.pack_into("<i", data, at, -struct.unpack_from("<i", data, at)[0])
+    path.write_bytes(data)
+
+
+def trailing_bytes(run_dir, path):
+    path.write_bytes((run_dir / "checkpoint.bin").read_bytes() + bytes(64))
+
+
+def header_d_zero(run_dir, path):
+    data = bytearray((run_dir / "checkpoint.bin").read_bytes())
+    # magic, then the header's version, V and d
+    at = len(ckpt.MAGIC) + 4 + 4
+    assert struct.unpack_from("<i", data, at)[0] > 0
+    struct.pack_into("<i", data, at, 0)
+    path.write_bytes(data)
+
+
+def first_block_name_0xff(run_dir, path):
+    data = bytearray((run_dir / "checkpoint.bin").read_bytes())
+    # magic, header, block count, then the first block's name length
+    at = len(ckpt.MAGIC) + ckpt._HEADER.size + 4 + 2
+    data[at] = 0xFF
+    path.write_bytes(data)
+
+
 @pytest.mark.parametrize("damage, kind, detail", [
     (truncated, "truncated", ""),
     (cut_inside_a_block, "truncated", "block 'lp_b' runs past the end of the data"),
@@ -256,8 +287,14 @@ def last_block_ndim_zero(run_dir, path):
     (reshaped("b_out", (1, 12)), "mis-shaped",
      "block b_out has shape (1, 12), the header dims give (12,)"),
     (last_block_ndim_zero, "mis-shaped", "block lp_b has shape (), "),
+    (last_block_negative_dim, "malformed", "block 'lp_b' has shape (-17,)"),
+    (trailing_bytes, "malformed", "64 bytes after the last block"),
+    (header_d_zero, "malformed", "header d must be at least 1, got 0"),
+    (first_block_name_0xff, "malformed",
+     "the name of block 0 is not UTF-8 ('utf-8' codec can't decode byte 0xff"),
 ], ids=["truncated", "cut-inside-a-block", "missing-block", "lp_b-17x1",
-        "b_out-1xV", "ndim-0"])
+        "b_out-1xV", "ndim-0", "negative-dim", "trailing-bytes", "header-d-0",
+        "name-0xff"])
 def test_eval_broken_checkpoint_exits_2(tmp_path, capsys, damage, kind, detail):
     broken = tmp_path / "broken.bin"
     damage(train_once(tmp_path, capsys, "run"), broken)

@@ -166,3 +166,42 @@ def test_summed_gradient_over_grams():
     assert same_bits(expected_count_gradient(p, np.array(grams)), total)
     empty = expected_count_gradient(p, np.zeros((0, 2), dtype=int))
     assert same_bits(empty, np.zeros((7, 5)))
+
+
+def test_repeated_token_merge_equals_per_sentence_loop():
+    """Grams that repeat a token at each distance 1..n-1 at n = 4 (x x,
+    x y x, x y z x, x y x y and x x x), stacked, with inactive grams
+    between active ones: the stacked gradient, written over a NaN-filled
+    buffer, is each sentence's loop reference bit for bit."""
+    x, y, z = 0, 1, 2
+    refs = [
+        [3, x, x, 4, 5, 3],
+        [x, y, x, 4, 5],
+        [x, y, z, x, 4],
+        [x, y, x, y, 5],
+        [4, x, x, x, 5, x, x, x],
+        [y, x, x, x, x, x, y],
+    ]
+    V, n = 6, 4
+    rng = np.random.default_rng(0)
+    tables = [rng.random((len(r), V)) ** 2 for r in refs]
+    # the last table puts most of each row's mass on x, so x x x x is
+    # expected more often than the reference has it: inactive, between
+    # the active y x x x and x x x y
+    tables[-1][:, x] = 50.0
+    tables = [t / t.sum(axis=1, keepdims=True) for t in tables]
+    p = np.concatenate(tables)
+    lengths = [len(r) for r in refs]
+    out = np.full_like(p, np.nan)
+    got = bon_loss(p, sum(refs, []), n, lengths=lengths, out=out)
+    assert got.grad is out
+    start = 0
+    for t, r in zip(tables, refs):
+        want = loop_bon_loss(t, r, n)
+        bag = count_ngrams(r, n)
+        expected = loop_expected_bag(t, bag)
+        active = [expected[g] <= bag[g] for g in bag]
+        if r is refs[-1]:
+            assert active == [True, False, True]
+        assert same_bits(got.grad[start : start + len(r)], want.grad)
+        start += len(r)

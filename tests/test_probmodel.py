@@ -22,6 +22,7 @@ from bonnat.probmodel import (
     expected_count_gradient,
     expected_counts,
     expected_ngram_count,
+    factor_pairs,
 )
 
 
@@ -159,6 +160,34 @@ def test_spans_equal_one_table_per_gram(R, V, n, k, seed):
         total[a : a + T] += expected_count_gradient(rows, grams[j])
     got = expected_count_gradient(p, grams, (start, length))
     assert got.tobytes() == total.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 9])
+def test_shared_pairs_equal_pairs_built_per_call(k):
+    # one call's (gram, window) pairs, given to the counts and to the
+    # gradient, give what each call gets from pairs it builds itself; a
+    # NaN table stacked beside a finite one, spans shorter than n
+    rng = np.random.default_rng(k)
+    R, V, n = 14, 3, 3
+    p = random_table(rng, R, V)
+    p[7:] = np.nan
+    grams = rng.integers(0, V, size=(k, n))
+    start = np.array([0, 0, 2, 5, 7, 7, 9, 12, 0])[:k]
+    length = np.array([7, 2, 5, 0, 7, 1, 5, 2, 14])[:k]
+    spans = (start, length)
+    pairs = factor_pairs(p, grams, spans)
+    want = expected_counts(p, grams, spans)
+    assert expected_counts(p, grams, spans, pairs).tobytes() == want.tobytes()
+    for active in (None, want <= 0.1):
+        want = expected_count_gradient(p, grams, spans, active=active)
+        got = expected_count_gradient(p, grams, spans, pairs=pairs, active=active)
+        assert got.tobytes() == want.tobytes()
+    # an inactive gram adds nothing, as if it were not in the call
+    keep = np.isfinite(expected_counts(p, grams, spans))
+    kept = expected_count_gradient(p, grams[keep], (start[keep], length[keep]))
+    got = expected_count_gradient(p, grams, spans, pairs=pairs, active=keep)
+    assert got.tobytes() == kept.tobytes()
+    assert np.isfinite(got[:7]).all()
 
 
 FENCE_PROBE = """
