@@ -106,29 +106,27 @@ def _add_field_flags(p: argparse.ArgumentParser, cls, args: dict[str, str]) -> N
                        choices=SCHEDULES if name == "schedule" else None)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subparser for each command name."""
-    parser = _Parser(prog="bonnat")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="write a synthetic parallel corpus")
+def _gen_data_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_task_flags(p)
 
-    p = sub.add_parser("train", help="train a model")
+
+def _train_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_corpus_flags(p)
     _add_field_flags(p, ModelDims, _DIMS_ARGS)
     _add_field_flags(p, TrainConfig, _CONFIG_ARGS)
     p.add_argument("--init", type=Path, default=None)
 
-    p = sub.add_parser("eval", help="BLEU and removed-token reports")
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_corpus_flags(p)
     p.add_argument("--ckpt", type=Path, required=True)
     p.add_argument("--buckets", type=str, default="4,8,12")
 
-    p = sub.add_parser("correlate", help="loss/BLEU correlation study")
+
+def _correlate_args(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     _add_corpus_flags(p)
     p.add_argument("--ckpt", type=Path, required=True)
@@ -136,20 +134,35 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--subset-size", type=int, default=25)
     p.add_argument("--split-length", action="store_true")
 
-    p = sub.add_parser("oracle-check", help="window products vs enumeration")
+
+def _oracle_check_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, out=False)
     p.add_argument("--vocab", type=int, default=3)
     p.add_argument("--len", type=int, default=5, dest="length")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--trials", type=int, default=100)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
+
+def _gradcheck_args(p: argparse.ArgumentParser) -> None:
     _add_common(p, out=False)
     p.add_argument("--loss", choices=("ce", "bon", "joint"), default="bon")
     _add_field_flags(p, JointConfig, {"n": "n", "alpha": "alpha"})
     p.add_argument("--vocab", type=int, default=4)
     p.add_argument("--len", type=int, default=4, dest="length")
     p.add_argument("--trials", type=int, default=20)
+
+
+def build_parser(only: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subparser for each command name. Every command
+    is registered with its help; with `only`, only that command's
+    subparser gets its arguments, which is all a parse that selects it
+    reads."""
+    parser = _Parser(prog="bonnat")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, add_args, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        if only is None or only == name:
+            add_args(p)
     return parser, sub.choices
 
 
@@ -171,14 +184,16 @@ def _apply_config(parser, commands, argv: list[str]) -> argparse.Namespace:
     if not cfg.read(args.config):
         raise UsageError(f"config file not found: {args.config}")
     flags = _config_flags(commands[args.command])
-    # a [common] key applies to the commands that have its flag; it is
-    # unknown only if no command has it
-    every_flag = set().union(*map(_config_flags, commands.values()))
     values: dict[str, str] = {}
-    for section, keys in (("common", every_flag), (args.command, set(flags))):
+    for section in ("common", args.command):
         if cfg.has_section(section):
             items = {k.replace("_", "-"): v for k, v in cfg.items(section)}
-            bad = set(items) - keys
+            # a [common] key applies to the commands that have its flag; it
+            # is unknown only if no command has it, which takes every
+            # command's arguments to tell
+            keys = flags if section == args.command else set().union(
+                *map(_config_flags, build_parser()[1].values()))
+            bad = set(items).difference(keys)
             if bad:
                 raise UsageError(f"unknown config keys: {sorted(bad)}")
             values.update((k, v) for k, v in items.items() if k in flags)
@@ -537,22 +552,30 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if ok else EXIT_NUMERIC
 
 
+# each command's help line, the function that adds its arguments and
+# the one that runs it
 COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "correlate": cmd_correlate,
-    "oracle-check": cmd_oracle_check,
-    "gradcheck": cmd_gradcheck,
+    "gen-data": ("write a synthetic parallel corpus", _gen_data_args, cmd_gen_data),
+    "train": ("train a model", _train_args, cmd_train),
+    "eval": ("BLEU and removed-token reports", _eval_args, cmd_eval),
+    "correlate": ("loss/BLEU correlation study", _correlate_args, cmd_correlate),
+    "oracle-check": ("window products vs enumeration", _oracle_check_args,
+                     cmd_oracle_check),
+    "gradcheck": ("finite-difference gradient check", _gradcheck_args,
+                  cmd_gradcheck),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
+    # the command is argv's first token that is not an option, since the
+    # top-level parser has no option that takes a value
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parser, commands = build_parser(command)
     try:
         args = _apply_config(parser, commands, argv)
-        return COMMANDS[args.command](args)
+        _, _, run = COMMANDS[args.command]
+        return run(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -82,7 +82,8 @@ def _match_and_grad(p, sentences, sent, grams, ref_counts, expected, grad,
     `out` when given), from the reference support of each: n-gram
     grams[j] of sentence sent[j], counted ref_counts[j] times in the
     reference and expected[j] times in the table over the (gram, window)
-    `pairs` that counted it, or over the whole table without them."""
+    `pairs` that counted it, or over the whole table without them. Only
+    the gradient reads `grams`."""
     # added in support order, as a running sum would
     match = np.bincount(
         sent, weights=np.minimum(expected, ref_counts), minlength=sentences
@@ -117,7 +118,7 @@ def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
     model_bag = expected_bag(p, ref_bag)
     k = len(ref_bag)
     match, dp = _match_and_grad(
-        p, 1, np.zeros(k, dtype=np.intp), list(ref_bag),
+        p, 1, np.zeros(k, dtype=np.intp), list(ref_bag) if grad else None,
         np.fromiter(ref_bag.values(), float, k),
         np.fromiter(model_bag.values(), float, k), grad,
     )

@@ -49,12 +49,16 @@ def factor_pairs(table, grams, spans=None) -> tuple:
     grams = np.array(grams, dtype=np.intp, ndmin=2)
     k, n = grams.shape
     R, V = p.shape
+    base = V * np.arange(n) + grams
     if spans is None:
-        start, count = 0, np.full(k, max(R - n + 1, 0), dtype=np.intp)
+        # every gram has the same W windows: _ragged's rows as one rectangle
+        W = max(R - n + 1, 0)
+        count = np.full(k, W, dtype=np.intp)
+        cells = (base[:, None, :] + V * np.arange(W)[:, None]).reshape(k * W, n)
     else:
         start = np.asarray(spans[0], dtype=np.intp)
         count = np.maximum(np.asarray(spans[1], dtype=np.intp) - (n - 1), 0)
-    cells = _ragged(V * np.arange(n) + grams, start, count, V)
+        cells = _ragged(base, start, count, V)
     return count, cells, p.take(cells)
 
 

@@ -689,6 +689,50 @@ def test_argparse_errors_are_one_line_and_help_exits_0(capsys):
     assert "--schedule" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--task", "copy", "--vocab", "12", "--seed", "3", "--out", "o"],
+    ["train", *TASK, "--dim", "6", "--schedule", "bon-joint", "--alpha", "0.2",
+     "--init", "c.bin", "--out", "o"],
+    ["eval", *TASK, "--ckpt", "c.bin", "--buckets", "3,5"],
+    ["correlate", *TASK, "--ckpt", "c.bin", "--subsets", "4", "--split-length"],
+    ["oracle-check", "--len", "4", "--n", "3"],
+    ["gradcheck", "--loss", "joint", "--alpha", "0.3", "--n", "3"],
+], ids=lambda argv: argv[0])
+def test_main_parses_a_command_as_the_full_parser_does(argv, monkeypatch):
+    # main fills in only the invoked command's arguments
+    seen = []
+    help_, add_args, _ = cli.COMMANDS[argv[0]]
+    monkeypatch.setitem(cli.COMMANDS, argv[0],
+                        (help_, add_args, lambda args: seen.append(args) or 0))
+    assert main(argv) == 0
+    assert seen == [cli.build_parser()[0].parse_args(argv)]
+
+
+def full_parser_error(argv):
+    with pytest.raises(cli.UsageError) as exc:
+        cli.build_parser()[0].parse_args(argv)
+    return f"error: {exc.value}\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["train", "--bogus"]])
+def test_parse_errors_are_the_full_parsers(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == full_parser_error(argv)
+    assert err.count("\n") == 1
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == cli.build_parser()[0].format_help()
+    for name, (help_, _, _) in cli.COMMANDS.items():
+        assert re.search(rf"^ +{name} +{re.escape(help_)}$", out, re.M)
+    assert len(cli.COMMANDS) == 6
+
+
 def test_gen_data_rejects_file_flags_and_writes_the_task(tmp_path, capsys):
     (tmp_path / "s.txt").write_text("a b\n")
     (tmp_path / "v.txt").write_text("<pad>\n<unk>\na\nb\n")

@@ -232,6 +232,27 @@ def test_group_bon_loss_equals_per_sentence_bon_loss(case, grad):
         assert got.grad is None
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("case", ["random", "short", "exact", "repeated", "nan"])
+def test_value_only_bon_loss_equals_the_gradient_call(n, case):
+    # one sentence: T < n, T = n, a reference of one repeated token, and a
+    # NaN table beside the plain case
+    rng = np.random.default_rng(n)
+    T = {"short": n - 1, "exact": n}.get(case, 9)
+    p = random_table(rng, T, 3)
+    ref = rng.integers(0, 3, size=T)
+    if case == "repeated":
+        ref[:] = ref[0]
+    if case == "nan":
+        p[:] = np.nan
+    ref = tuple(ref.tolist())
+    got = bon_loss(p, ref, n, grad=False)
+    want = bon_loss(p, ref, n, grad=True)
+    assert got.grad is None
+    assert same_bits(got.value, want.value) and same_bits(got.match, want.match)
+    assert got.degenerate == want.degenerate == (case == "short")
+
+
 def test_group_bon_loss_needs_one_reference_token_per_row():
     p = np.full((5, 3), 1 / 3)
     with pytest.raises(ValueError, match="one reference token per table row"):

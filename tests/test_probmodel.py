@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bonnat
@@ -149,7 +149,7 @@ def test_spans_equal_one_table_per_gram(R, V, n, k, seed):
     rng = np.random.default_rng(seed)
     p = random_table(rng, R, V) ** int(rng.integers(1, 9))
     grams = rng.integers(0, V, size=(k, n))
-    grams[:, -1] = grams[:, 0]  # repeated tokens share a stage slot
+    grams[:, -1] = grams[:, 0]  # a repeated token, for _merge_repeats
     start = rng.integers(0, R, size=k)
     length = rng.integers(0, R - start + 1)
     counts = expected_counts(p, grams, (start, length))
@@ -160,6 +160,37 @@ def test_spans_equal_one_table_per_gram(R, V, n, k, seed):
         total[a : a + T] += expected_count_gradient(rows, grams[j])
     got = expected_count_gradient(p, grams, (start, length))
     assert got.tobytes() == total.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 10), st.sampled_from([2, 3, 24]), st.integers(1, 4),
+    st.integers(1, 6), st.integers(0, 2**32 - 1),
+)
+@example(R=2, V=3, n=3, k=2, seed=0)  # R < n: no window
+@example(R=3, V=3, n=3, k=1, seed=1)  # R = n, one gram
+def test_whole_table_pairs_equal_full_spans(R, V, n, k, seed):
+    # the whole-table layout is the ragged one of a full span per gram,
+    # bit for bit, and so are the counts of the one-table entry points;
+    # some grams repeat a token and some cells hold -0.0
+    rng = np.random.default_rng(seed)
+    p = random_table(rng, R, V)
+    p[rng.random(p.shape) < 0.2] = -0.0
+    grams = rng.integers(0, V, size=(k, n))
+    grams[::2, -1] = grams[::2, 0]
+    spans = (np.zeros(k, dtype=np.intp), np.full(k, R))
+    for got, want in zip(factor_pairs(p, grams), factor_pairs(p, grams, spans)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    want = expected_counts(p, grams, spans)
+    got = [expected_ngram_count(p, tuple(g)) for g in grams.tolist()]
+    assert np.array(got).tobytes() == want.tobytes()
+    bag = expected_bag(p, dict.fromkeys(map(tuple, grams.tolist()), 1.0))
+    if R < n:
+        assert bag == {}
+    else:
+        got = [bag[tuple(g)] for g in grams.tolist()]
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k", [0, 9])
