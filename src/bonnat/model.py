@@ -4,6 +4,7 @@ and an Adam trainer whose schedules are phases of one CE/BoN objective.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -96,10 +97,23 @@ class NatModel:
         return cls(dims, _uniform(cls.shapes(dims), rng))
 
     def encoder_states(self, source: Sequence[int]) -> np.ndarray:
-        return self.params["src_emb"][np.asarray(source)]
+        """The source tokens' embedding rows, gathered straight from the
+        sequence (a tuple, list or integer array)."""
+        return self.params["src_emb"].take(source, axis=0)
 
-    def copy_indices(self, n_src: int, T: int) -> np.ndarray:
-        return (np.arange(T) * n_src) // T
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def copy_indices(n_src: int, T: int) -> np.ndarray:
+        """The source index that each of T target positions copies,
+        (arange(T) * n_src) // T, memoized by (n_src, T) as a read-only
+        array. The memo holds one entry per distinct (source length,
+        target length) pair that reaches it: at most the distinct source
+        lengths x p_max entries of at most p_max indices each."""
+        if n_src < 1:
+            raise ValueError("empty source")
+        idx = (np.arange(T) * n_src) // T
+        idx.flags.writeable = False
+        return idx
 
     def check_lengths(self, lengths: Sequence[int]) -> None:
         """Every target length must lie in 1..p_max."""
@@ -109,9 +123,16 @@ class NatModel:
             raise CapacityError(f"target length {max(lengths)} exceeds "
                                 f"position capacity {self.dims.p_max}")
 
-    def embed(self, copied: np.ndarray, pos: np.ndarray | slice) -> np.ndarray:
-        """The input rows: copied source token embedding plus position."""
-        return self.params["src_emb"][copied] + self.params["pos_emb"][pos]
+    def embed(
+        self, copied: np.ndarray, pos: np.ndarray | slice,
+        rows: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The input rows: copied source token embedding plus position.
+        `copied` indexes the embedding table, or, when `rows` is given,
+        those rows: a sentence's encoder states and its copy indices give
+        the same bytes as the table and the copied token ids."""
+        table = self.params["src_emb"] if rows is None else rows
+        return table.take(copied, axis=0) + self.params["pos_emb"][pos]
 
     def layers(
         self, x: np.ndarray, out: np.ndarray | None = None
@@ -120,8 +141,12 @@ class NatModel:
         the affine path that training and decoding share. The logits are
         written into `out`, a rows x V float64 array, when one is given."""
         p = self.params
-        h1 = np.tanh(x @ p["w1"] + p["b1"])
-        h2 = np.tanh(h1 @ p["w2"] + p["b2"])
+        h1 = x @ p["w1"]
+        h1 += p["b1"]
+        np.tanh(h1, out=h1)
+        h2 = h1 @ p["w2"]
+        h2 += p["b2"]
+        np.tanh(h2, out=h2)
         logits = np.matmul(h2, p["w_out"], out=out)
         logits += p["b_out"]
         return h1, h2, logits
@@ -241,13 +266,17 @@ def decode(
     Softmax keeps the order of a row's logits, so the argmax is taken
     over the logits and no probability table is built; exact ties go to
     the lowest id, as over the probabilities."""
-    src = np.asarray(source)
-    T = len(src) + lp.predict_diff(model.encoder_states(src).sum(axis=0))
+    enc = model.encoder_states(source)
+    S = len(enc)
+    T = S + lp.predict_diff(np.add.reduce(enc, axis=0))
     T = min(max(T, 1), model.dims.p_max)
-    copied = src[model.copy_indices(len(src), T)]
-    _, _, logits = model.layers(model.embed(copied, slice(0, T)))
-    # PAD is column 0, so the argmax over the columns after it skips PAD
-    return tuple((logits[:, PAD + 1 :].argmax(axis=1) + PAD + 1).tolist())
+    # the input rows copy the encoder states, so the table is gathered once
+    x = model.embed(model.copy_indices(S, T), slice(0, T), enc)
+    _, _, logits = model.layers(x)
+    # PAD is column 0, so the argmax over the columns after it skips PAD;
+    # the offset is added to the Python ints, which costs less than an
+    # array operation at sentence length
+    return tuple([i + PAD + 1 for i in logits[:, PAD + 1 :].argmax(axis=1).tolist()])
 
 
 def postprocess(sent: Sequence[int]) -> tuple[tuple[int, ...], int]:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bonnat import checkpoint as ckpt
@@ -81,6 +81,14 @@ def test_uniform_copy_indices():
     assert model.copy_indices(3, 3).tolist() == [0, 1, 2]
     assert model.copy_indices(2, 4).tolist() == [0, 0, 1, 1]
     assert model.copy_indices(4, 2).tolist() == [0, 2]
+    # memoized by (S, T) as read-only arrays
+    for S in range(1, 65):
+        for T in range(1, 65):
+            idx = model.copy_indices(S, T)
+            assert np.array_equal(idx, (np.arange(T) * S) // T)
+            assert model.copy_indices(S, T) is idx
+            with pytest.raises(ValueError):
+                idx[0] = 1
 
 
 def test_end_to_end_gradients_match_finite_differences():
@@ -190,6 +198,111 @@ def test_decode_skips_pad_and_breaks_ties_like_the_masked_copy(monkeypatch):
     assert (probs[:, 2] == probs[:, 3]).all()
     out = decode(model, lp, (2, 3, 4))
     assert out == (3,) * len(out)
+
+
+def reference_layers(params, x):
+    """The affine path as it was before its bias adds and tanh ran in
+    place: a new array per operation."""
+    h1 = np.tanh(x @ params["w1"] + params["b1"])
+    h2 = np.tanh(h1 @ params["w2"] + params["b2"])
+    logits = h2 @ params["w_out"]
+    logits += params["b_out"]
+    return h1, h2, logits
+
+
+def reference_decode(model, lp, source):
+    """`decode` as it was before the one-gather, memoized-index rewrite:
+    the embedding table gathered twice and the copy index rebuilt."""
+    p = model.params
+    src = np.asarray(source)
+    enc_sum = p["src_emb"][src].sum(axis=0)
+    diff = int((enc_sum @ lp.params["lp_w"] + lp.params["lp_b"]).argmax()) - lp.dl_max
+    T = min(max(len(src) + diff, 1), model.dims.p_max)
+    copied = src[(np.arange(T) * len(src)) // T]
+    _, _, logits = reference_layers(p, p["src_emb"][copied] + p["pos_emb"][slice(0, T)])
+    return tuple((logits[:, PAD + 1 :].argmax(axis=1) + PAD + 1).tolist())
+
+
+def reference_forward_cache(model, source, T):
+    """`_forward_cache` as it was before the same rewrite."""
+    p = model.params
+    src = np.asarray(source)
+    copied = src[(np.arange(T) * len(src)) // T]
+    x = p["src_emb"][copied] + p["pos_emb"][slice(0, T)]
+    h1, h2, logits = reference_layers(p, x)
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return {"copied": copied, "pos": slice(0, T), "x": x, "h1": h1, "h2": h2,
+            "probs": logits}
+
+
+@st.composite
+def decode_cases(draw):
+    """A model and length predictor, scaled x1/x10/x100, and a source of
+    1-50 tokens as a tuple, a list and an int64 array. The length bias
+    pins the predicted difference to its lowest class with a source no
+    longer than dl_max (the length clamps to 1), or to its highest (it
+    clamps to p_max whenever S + dl_max exceeds it), or leaves it free."""
+    dims = ModelDims(vocab=draw(st.integers(3, 300)), d=draw(st.integers(1, 20)),
+                     h=draw(st.integers(1, 40)), p_max=draw(st.integers(1, 40)),
+                     dl_max=draw(st.integers(0, 10)))
+    model, lp = fresh(draw(st.integers(0, 2**32 - 1)), dims)
+    scale = draw(st.sampled_from([1.0, 10.0, 100.0]))
+    for params in (model.params, lp.params):
+        for k in params:
+            params[k] *= scale
+    bias = draw(st.sampled_from(["low", "high", "free"]))
+    if bias == "low" and dims.dl_max >= 1:
+        lp.params["lp_b"][0] = 1e9
+        S = draw(st.integers(1, dims.dl_max))
+    else:
+        if bias == "high":
+            lp.params["lp_b"][-1] = 1e9
+        S = draw(st.integers(1, 50))
+    tokens = draw(st.lists(st.integers(0, dims.vocab - 1), min_size=S, max_size=S))
+    return model, lp, bias, tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(decode_cases())
+def test_decode_equals_the_reference_byte_for_byte(case):
+    model, lp, bias, tokens = case
+    want = reference_decode(model, lp, tuple(tokens))
+    for source in (tuple(tokens), list(tokens), np.array(tokens, dtype=np.int64)):
+        out = decode(model, lp, source)
+        assert out == want
+        assert all(type(i) is int for i in out)
+    if bias == "low" and lp.dl_max >= 1:
+        assert len(want) == 1
+    elif bias == "high":
+        assert len(want) == min(len(tokens) + lp.dl_max, model.dims.p_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(decode_cases(), st.data())
+def test_forward_cache_equals_the_reference_byte_for_byte(case, data):
+    model, _, _, tokens = case
+    T = data.draw(st.integers(1, model.dims.p_max))
+    for source in (tuple(tokens), list(tokens), np.array(tokens, dtype=np.int64)):
+        probs, cache = model._forward_cache(source, T)
+        want = reference_forward_cache(model, source, T)
+        assert probs is cache["probs"]
+        assert list(cache) == list(want)
+        assert cache["pos"] == want["pos"]
+        for k in ("copied", "x", "h1", "h2", "probs"):
+            assert cache[k].dtype == want[k].dtype, k
+            assert cache[k].shape == want[k].shape, k
+            assert cache[k].tobytes() == want[k].tobytes(), k
+
+
+@pytest.mark.parametrize("source", [(), [], np.array([], dtype=np.int64)])
+def test_empty_source_is_refused(source):
+    model, lp = fresh()
+    with pytest.raises(ValueError, match="^empty source$"):
+        decode(model, lp, source)
+    with pytest.raises(ValueError, match="^empty source$"):
+        model.forward(source, 3)
 
 
 def test_predict_diff_is_the_argmax_class():
