@@ -52,15 +52,14 @@ def load(path: str | Path) -> tuple[TrainState, dict]:
     if data[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"not a checkpoint file: {path}")
     try:
-        fields, blocks, end = _read(data)
-        version, vocab, d, h, p_max, dl_max, seed, step = fields
-        dims = ModelDims(vocab=vocab, d=d, h=h, p_max=p_max, dl_max=dl_max)
+        fields, dims, blocks, end = _read(data)
     except struct.error as exc:
         raise CheckpointError(f"truncated checkpoint {path}: {exc}") from None
     except BoundError as exc:
         raise CheckpointError(f"malformed checkpoint {path}: header {exc}") from None
     except ValueError as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from None
+    version, *_, seed, step = fields
     model_shapes, lp_shapes = NatModel.shapes(dims), LengthPredictor.shapes(dims)
     for k, shape in {**model_shapes, **lp_shapes}.items():
         if k not in blocks:
@@ -78,7 +77,7 @@ def load(path: str | Path) -> tuple[TrainState, dict]:
         )
     state = TrainState(
         model=NatModel(dims, {k: blocks[k] for k in model_shapes}),
-        lp=LengthPredictor(dl_max, {k: blocks[k] for k in lp_shapes}),
+        lp=LengthPredictor(dims.dl_max, {k: blocks[k] for k in lp_shapes}),
         step=step,
     )
     header = {"version": version, "seed": seed, "step": step, "dims": dims,
@@ -86,14 +85,18 @@ def load(path: str | Path) -> tuple[TrainState, dict]:
     return state, header
 
 
-def _read(data: bytes) -> tuple[tuple, dict[str, np.ndarray], int]:
-    """Header fields, named blocks and the offset where the last block
-    ends; struct.error if data ends early, ValueError if it cannot be
-    decoded."""
+def _read(data: bytes) -> tuple[tuple, ModelDims, dict[str, np.ndarray], int]:
+    """Header fields, the dims they give, named blocks and the offset
+    where the last block ends; struct.error if data ends early,
+    BoundError if the dims are out of bounds, ValueError if the data
+    cannot be decoded or a block is not the one that `save` writes at
+    its place."""
     off = len(MAGIC)
     fields = _HEADER.unpack_from(data, off)
     if fields[0] != VERSION:
         raise ValueError(f"unsupported version {fields[0]}")
+    dims = ModelDims(*fields[1:6])
+    names = [*NatModel.shapes(dims), *LengthPredictor.shapes(dims)]
     off += _HEADER.size
     (count,) = struct.unpack_from("<I", data, off)
     off += 4
@@ -110,6 +113,14 @@ def _read(data: bytes) -> tuple[tuple, dict[str, np.ndarray], int]:
         off += 1
         shape = struct.unpack_from(f"<{ndim}i", data, off)
         off += 4 * ndim
+        # checked once the shape is read, so that data ending in the name
+        # is refused as truncated
+        if i >= len(names):
+            raise ValueError(f"block {i} is {name!r}, past the {len(names)} "
+                             "blocks that the header dims give")
+        if name != names[i]:
+            raise ValueError(f"block {i} is {name!r}, where the save order "
+                             f"has {names[i]!r}")
         if min(shape, default=0) < 0:
             raise ValueError(f"block {name!r} has shape {shape}")
         size = math.prod(shape) * 8
@@ -118,4 +129,4 @@ def _read(data: bytes) -> tuple[tuple, dict[str, np.ndarray], int]:
         arr = np.frombuffer(data[off : off + size], dtype="<f8").reshape(shape)
         blocks[name] = arr.copy()
         off += size
-    return fields, blocks, off
+    return fields, dims, blocks, off

@@ -533,10 +533,10 @@ def cmd_gradcheck(args) -> int:
     ref = tuple(int(x) for x in rng.integers(2, model.dims.vocab, size=ref_len))
 
     def model_loss() -> float:
-        probs, _ = model._forward_cache(source, len(ref))
+        probs, _ = model.forward(source, len(ref))
         return loss_fn(probs, ref).value
 
-    probs, cache = model._forward_cache(source, len(ref))
+    probs, cache = model.forward(source, len(ref))
     analytic = model.backward(cache, loss_fn(probs, ref).grad)
     numeric = fd_param_gradients(model_loss, model.params)
     worst_model = max(

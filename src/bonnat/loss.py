@@ -194,9 +194,11 @@ def bon_loss(
 
 
 def mix(ce_weight: float, ce, bon):
-    """ce_weight * ce + (1 - ce_weight) * bon, for loss values or gradients.
-    At weight 1 (0) the CE (BoN) term is returned as it is: the other term
-    may then be None, and no rounding or signed zero is added."""
+    """ce_weight * ce + (1 - ce_weight) * bon, the joint loss value. At
+    weight 1 (0) the CE (BoN) term is returned as it is: the other term
+    may then be None, and no rounding or signed zero is added. Gradient
+    tables are mixed by `mix_ce_cells`; on dense tables this function is
+    its reference."""
     if ce_weight == 1.0:
         return ce
     if ce_weight == 0.0:
@@ -205,12 +207,12 @@ def mix(ce_weight: float, ce, bon):
 
 
 def mix_ce_cells(ce_weight: float, ce_cells, ref, bon: np.ndarray) -> np.ndarray:
-    """`mix(ce_weight, ce, bon)` of gradient tables, written over `bon`
-    and returned, where `ce` is the CE gradient given by its values
-    `ce_cells` at the cells (t, ref[t]) and zero elsewhere, as
-    `cross_entropy(..., dense=False)` returns it. At weight 1 the BoN
-    term is not used and `bon` only holds the result. Every entry equals
-    `mix`'s, bit for bit."""
+    """The joint loss gradient: `mix(ce_weight, ce, bon)` of gradient
+    tables, written over `bon` and returned, where `ce` is the CE
+    gradient given by its values `ce_cells` at the cells (t, ref[t]) and
+    zero elsewhere, as `cross_entropy(..., dense=False)` returns it. At
+    weight 1 the BoN term is not used and `bon` only holds the result.
+    Every entry equals `mix`'s, bit for bit."""
     if ce_weight == 0.0:
         return bon
     rows = np.arange(len(ref))
@@ -227,14 +229,15 @@ def mix_ce_cells(ce_weight: float, ce_cells, ref, bon: np.ndarray) -> np.ndarray
 
 
 def joint_loss(table, ref: Sequence[int], cfg: JointConfig) -> LossResult:
-    """alpha * cross-entropy + (1 - alpha) * BoN loss."""
-    ce = cross_entropy(table, ref)
+    """alpha * cross-entropy + (1 - alpha) * BoN loss. Below alpha 1 the
+    gradient is mixed as a training step mixes it, over BoN's table."""
     if cfg.alpha == 1.0:
-        return ce
+        return cross_entropy(table, ref)
+    ce = cross_entropy(table, ref, dense=False)
     bon = bon_loss(table, ref, cfg.n)
     return LossResult(
         value=mix(cfg.alpha, ce.value, bon.value),
-        grad=mix(cfg.alpha, ce.grad, bon.grad),
+        grad=mix_ce_cells(cfg.alpha, ce.grad, ref, bon.grad),
         match=bon.match,
         degenerate=bon.degenerate,
     )

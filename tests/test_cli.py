@@ -270,6 +270,54 @@ def header_d_zero(run_dir, path):
     path.write_bytes(data)
 
 
+def extra_block(run_dir, path):
+    state, header = ckpt.load(run_dir / "checkpoint.bin")
+    state.lp.params["foo"] = state.lp.params["lp_b"]
+    ckpt.save(path, state, seed=header["seed"])
+
+
+def lp_b_twice(run_dir, path):
+    data = bytearray((run_dir / "checkpoint.bin").read_bytes())
+    lp_b = ckpt.load(run_dir / "checkpoint.bin")[0].lp.params["lp_b"]
+    # the last block: name length, name, ndim, one shape int and its data
+    data += data[-(2 + 4 + 1 + 4 + lp_b.nbytes):]
+    # magic, header, then the block count
+    at = len(ckpt.MAGIC) + ckpt._HEADER.size
+    struct.pack_into("<I", data, at, struct.unpack_from("<I", data, at)[0] + 1)
+    path.write_bytes(data)
+
+
+def renamed(name, new):
+    """Save the model's blocks in their order, block `name` as `new`."""
+    def damage(run_dir, path):
+        state, header = ckpt.load(run_dir / "checkpoint.bin")
+        params = state.model.params
+        state.model.params = {new if k == name else k: params[k] for k in params}
+        ckpt.save(path, state, seed=header["seed"])
+    return damage
+
+
+def last_block_named_lp_w(run_dir, path):
+    data = bytearray((run_dir / "checkpoint.bin").read_bytes())
+    lp_b = ckpt.load(run_dir / "checkpoint.bin")[0].lp.params["lp_b"]
+    # the last block, lp_b, ends in its name, ndim, one shape int and its data
+    at = len(data) - lp_b.nbytes - 4 - 1 - 4
+    assert data[at : at + 4] == b"lp_b"
+    data[at : at + 4] = b"lp_w"
+    path.write_bytes(data)
+
+
+def swapped(a, b):
+    """Save blocks a and b each in the other's place."""
+    def damage(run_dir, path):
+        state, header = ckpt.load(run_dir / "checkpoint.bin")
+        params = state.model.params
+        order = [b if k == a else a if k == b else k for k in params]
+        state.model.params = {k: params[k] for k in order}
+        ckpt.save(path, state, seed=header["seed"])
+    return damage
+
+
 def first_block_name_0xff(run_dir, path):
     data = bytearray((run_dir / "checkpoint.bin").read_bytes())
     # magic, header, block count, then the first block's name length
@@ -292,9 +340,20 @@ def first_block_name_0xff(run_dir, path):
     (header_d_zero, "malformed", "header d must be at least 1, got 0"),
     (first_block_name_0xff, "malformed",
      "the name of block 0 is not UTF-8 ('utf-8' codec can't decode byte 0xff"),
+    (extra_block, "malformed",
+     "block 10 is 'foo', past the 10 blocks that the header dims give\n"),
+    (lp_b_twice, "malformed",
+     "block 10 is 'lp_b', past the 10 blocks that the header dims give\n"),
+    (renamed("w2", "foo"), "malformed",
+     "block 4 is 'foo', where the save order has 'w2'\n"),
+    (last_block_named_lp_w, "malformed",
+     "block 9 is 'lp_w', where the save order has 'lp_b'\n"),
+    (swapped("w1", "b1"), "malformed",
+     "block 2 is 'b1', where the save order has 'w1'\n"),
 ], ids=["truncated", "cut-inside-a-block", "missing-block", "lp_b-17x1",
         "b_out-1xV", "ndim-0", "negative-dim", "trailing-bytes", "header-d-0",
-        "name-0xff"])
+        "name-0xff", "extra-block", "lp_b-twice", "unknown-block",
+        "repeated-block", "out-of-order"])
 def test_eval_broken_checkpoint_exits_2(tmp_path, capsys, damage, kind, detail):
     broken = tmp_path / "broken.bin"
     damage(train_once(tmp_path, capsys, "run"), broken)
@@ -761,9 +820,12 @@ def test_gen_data_rejects_file_flags_and_writes_the_task(tmp_path, capsys):
 @pytest.mark.parametrize("flags, message", [
     (["--vocab", "1000000000000"], "vocab size"),
     (["--min-len", "1", "--max-len", str(2**32 + 1)], "length range"),
+    (["--pairs", "0"], "sample count must be positive"),
+    (["--noise", "1.0"], "target noise must be in [0, 1)"),
 ])
 def test_gen_data_range_past_32_bits_exits_2(flags, message, tmp_path, capsys):
-    code, _, err = run(["gen-data", "--task", "copy", *flags, "--pairs", "2",
+    # the row's flags come last, so that its --pairs wins
+    code, _, err = run(["gen-data", "--task", "copy", "--pairs", "2", *flags,
                         "--out", str(tmp_path)], capsys)
     assert code == 2
     assert err.count("\n") == 1 and err.startswith(f"error: {message}")
@@ -818,4 +880,20 @@ def test_file_corpus_blank_line_on_one_side_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line 2 of ") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("vocab, message", [
+    ("a\nb\n", "not a vocabulary file: {path}"),
+    ("<pad>\n<unk>\na\nb\na\n", "duplicate token in vocabulary"),
+], ids=["not-a-vocabulary", "duplicate-token"])
+def test_file_corpus_bad_vocabulary_exits_2(vocab, message, tmp_path, capsys):
+    files = write_file_corpus(tmp_path, "a b\n", "b a\n")
+    (tmp_path / "vocab.txt").write_text(vocab)
+    code, out, err = run(
+        ["train", *files, "--steps", "3", "--out", str(tmp_path / "r")], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message.format(path=tmp_path / 'vocab.txt')}\n"
     assert not (tmp_path / "r").exists()

@@ -145,6 +145,29 @@ def test_joint_loss_endpoints_bitwise():
     at_zero = joint_loss(table, ref, JointConfig(alpha=0.0, n=2))
     assert at_one.value == ce.value and np.array_equal(at_one.grad, ce.grad)
     assert at_zero.value == bon.value and np.array_equal(at_zero.grad, bon.grad)
+    # between the endpoints, the value and gradient are the dense tables'
+    # `mix`, bit for bit. In the second table every other row is subnormal
+    # off its target cell, so that some (1 - alpha) * BoN gradient entries
+    # round to -0.0, which the mix turns into +0.0
+    ref = (0, 2, 1, 0, 2, 3)
+    table = random_table(rng, 6, 4)
+    subnormal = table.copy()
+    subnormal[1::2] = 5e-324
+    subnormal[np.arange(6), ref] = table[np.arange(6), ref]
+    off_target = np.ones((6, 4), dtype=bool)
+    off_target[np.arange(6), ref] = False
+    negative_zeros = 0
+    for p, alpha, n in itertools.product((table, subnormal), (0.1, 0.5, 0.9),
+                                         range(1, 5)):
+        ce = cross_entropy(p, ref)
+        bon = bon_loss(p, ref, n)
+        got = joint_loss(p, ref, JointConfig(alpha=alpha, n=n))
+        assert same_bits(got.value, mix(alpha, ce.value, bon.value))
+        assert same_bits(got.grad, mix(alpha, ce.grad, bon.grad))
+        assert (got.match, got.degenerate) == (bon.match, bon.degenerate)
+        scaled = (1.0 - alpha) * bon.grad
+        negative_zeros += int((np.signbit(scaled) & (scaled == 0.0) & off_target).sum())
+    assert negative_zeros > 0
 
 
 def test_joint_loss_is_affine_in_alpha():
