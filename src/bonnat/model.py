@@ -273,10 +273,12 @@ def decode(
     # the input rows copy the encoder states, so the table is gathered once
     x = model.embed(model.copy_indices(S, T), slice(0, T), enc)
     _, _, logits = model.layers(x)
-    # PAD is column 0, so the argmax over the columns after it skips PAD;
-    # the offset is added to the Python ints, which costs less than an
-    # array operation at sentence length
-    return tuple([i + PAD + 1 for i in logits[:, PAD + 1 :].argmax(axis=1).tolist()])
+    # PAD is column 0 (corpus.PAD). It loses every row's argmax at -inf,
+    # which keeps the argmax on contiguous rows; it only wins, as index 0,
+    # when every other logit is -inf too, where the argmax over the
+    # columns after PAD is their first, token PAD + 1
+    logits[:, PAD] = -np.inf
+    return tuple([i or PAD + 1 for i in logits.argmax(axis=1).tolist()])
 
 
 def postprocess(sent: Sequence[int]) -> tuple[tuple[int, ...], int]:

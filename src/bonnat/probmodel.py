@@ -1,22 +1,29 @@
 """Expected bag-of-ngrams of a table of per-position distributions.
 
 A table is a plain T x V array, or a stack of them, one sentence's rows
-after another. One vectorised kernel works over (gram, window) pairs:
-pair q of n-gram g and the window at row r has factors
-F[q, i] = p[r + i, g[i]]. Expected counts are products over i summed
-over windows, gradients are leave-one-out products scattered back onto
-the table. Each gram has a span of rows, the whole table by default:
-one table is the case of one full-table span per gram.
+after another. The expected count of an n-gram g is the sum over
+windows r of the product of its factors p[r + i, g[i]], multiplied in i
+order and added in window order.
 
-`factor_pairs` gathers a call's factors and their cells once, and a
-caller that wants both the counts and the gradient hands the same
-pairs to each. The gradient adds every pair's terms straight onto the
-zeroed table at those cells, and keeps the bits of the per-window loop
-it replaced: where a gram meets a cell twice (it repeats a token) the
-terms are summed first in the loop's order, and every term left out, a
-merged partner or one of an inactive gram, is +0.0. Adding +0.0 is
-exact for any cell that is not -0.0, and a cell never is: it starts at
-+0.0, and a sum is -0.0 only when both addends are.
+One table's counts (`expected_ngram_count`, `expected_bag`, and
+`expected_counts` without spans) gather their factors as position
+columns: factor i of every window of every gram is one k x W slice of
+the transposed table, and no index array is built. A stack, and every
+gradient, works over (gram, window) pairs instead: pair q of n-gram g
+and the window at row r has factors F[q, i] = p[r + i, g[i]] at the
+flat table cells cells[q, i]. Each gram has a span of rows, the whole
+table by default: one table is the case of one full-table span per
+gram.
+
+`factor_pairs` gathers a call's pairs once, and a caller that wants
+both the counts and the gradient hands the same pairs to each. The
+gradient adds every pair's terms straight onto the zeroed table at
+those cells, and keeps the bits of the per-window loop it replaced:
+where a gram meets a cell twice (it repeats a token) the terms are
+summed first in the loop's order, and every term left out, a merged
+partner or one of an inactive gram, is +0.0. Adding +0.0 is exact for
+any cell that is not -0.0, and a cell never is: it starts at +0.0, and
+a sum is -0.0 only when both addends are.
 The enumeration oracle that checks it lives in `bonnat.gradcheck`.
 """
 from __future__ import annotations
@@ -44,21 +51,17 @@ def factor_pairs(table, grams, spans=None) -> tuple:
     its span on (see `expected_counts`), in (gram, window) order:
     cells[q, i] is the flat table index of cell (r + i, g[i]) and
     F[q, i] = p[r + i, g[i]] the factor there, both P x n. Without
-    `spans` every gram spans the whole table."""
+    `spans` every gram spans the whole table. A stack's BoN loss and
+    every gradient build these pairs; one table's counts do not."""
     p = np.asarray(table, dtype=float)
     grams = np.array(grams, dtype=np.intp, ndmin=2)
     k, n = grams.shape
     R, V = p.shape
-    base = V * np.arange(n) + grams
     if spans is None:
-        # every gram has the same W windows: _ragged's rows as one rectangle
-        W = max(R - n + 1, 0)
-        count = np.full(k, W, dtype=np.intp)
-        cells = (base[:, None, :] + V * np.arange(W)[:, None]).reshape(k * W, n)
-    else:
-        start = np.asarray(spans[0], dtype=np.intp)
-        count = np.maximum(np.asarray(spans[1], dtype=np.intp) - (n - 1), 0)
-        cells = _ragged(base, start, count, V)
+        spans = (np.zeros(k, dtype=np.intp), np.full(k, R))
+    start = np.asarray(spans[0], dtype=np.intp)
+    count = np.maximum(np.asarray(spans[1], dtype=np.intp) - (n - 1), 0)
+    cells = _ragged(V * np.arange(n) + grams, start, count, V)
     return count, cells, p.take(cells)
 
 
@@ -85,6 +88,24 @@ def _leave_one_out(F: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_counts(p: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """Whole-table counts of the k x n `grams`, from position columns:
+    factor i of the W windows of every gram is p.T[grams[:, i], i:i + W].
+    The in-order running sum of a row ends at the sum bincount adds from
+    +0.0; adding +0.0 gives that start's one effect, that a sum of -0.0
+    products is +0.0."""
+    k, n = grams.shape
+    W = p.shape[0] - n + 1
+    if W <= 0:
+        return np.zeros(k)
+    cols = p.T
+    # _products' loop over column slices, which a generator would slow
+    prod = cols[grams[:, 0], :W]
+    for i in range(1, n):
+        prod = prod * cols[grams[:, i], i : i + W]
+    return np.cumsum(prod, axis=1)[:, -1] + 0.0
+
+
 def expected_counts(table, grams, spans=None, pairs=None) -> np.ndarray:
     """Expected count of each n-gram of the k x n array `grams`: the sum
     over the windows of its span of the product of its factors.
@@ -92,10 +113,17 @@ def expected_counts(table, grams, spans=None, pairs=None) -> np.ndarray:
     `spans` = (start, length) gives gram j the table rows start[j] ..
     start[j] + length[j] - 1, so one call counts the grams of many
     stacked sentences, each over its own rows; a span shorter than n
-    counts 0. Window products are added in window order, by one
-    bincount over the (gram, window) pairs: `factor_pairs(table, grams,
-    spans)`, or `pairs` when given.
+    counts 0. Window products are added in window order. With spans or
+    `pairs`, that is one bincount over the (gram, window) pairs:
+    `factor_pairs(table, grams, spans)`, or `pairs` when given. Without
+    either, every gram spans the whole table and its factors are
+    gathered as position columns (`_column_counts`), which gives the
+    pairs' bits but for the sign of a NaN: numpy's multiply loops give
+    NaN * NaN either operand's.
     """
+    if spans is None and pairs is None:
+        return _column_counts(np.asarray(table, dtype=float),
+                              np.array(grams, dtype=np.intp, ndmin=2))
     count, _, F = factor_pairs(table, grams, spans) if pairs is None else pairs
     k = len(count)
     return np.bincount(np.arange(k).repeat(count), weights=_products(F),

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bonnat import checkpoint as ckpt
@@ -264,8 +264,36 @@ def decode_cases(draw):
     return model, lp, bias, tokens
 
 
+def nonfinite_case(param, cells, values, tokens=(2, 3, 4)):
+    """A decode case whose parameter `param` holds `values` at `cells`,
+    with the length predictor biased to its longest output."""
+    model, lp = fresh(7)
+    lp.params["lp_b"][-1] = 1e9
+    params = {**model.params, **lp.params}
+    params[param][cells] = values
+    return model, lp, "free", list(tokens)
+
+
+NAN, INF = np.nan, np.inf
+
+
 @settings(max_examples=300, deadline=None)
 @given(decode_cases())
+# NaN logits: the first NaN column after PAD is every row's argmax
+@example(nonfinite_case("b_out", [4, 2], NAN))
+@example(nonfinite_case("w_out", (slice(None), 3), NAN))
+# +inf logits, and a NaN or +inf PAD column that must not win
+@example(nonfinite_case("b_out", [5, 3], INF))
+@example(nonfinite_case("b_out", [PAD, 4], [INF, 1.0]))
+@example(nonfinite_case("b_out", [PAD], NAN))
+# every logit after PAD -inf: the first of them, token 1, with PAD at
+# -inf, +inf or NaN beside them
+@example(nonfinite_case("b_out", slice(None), -INF))
+@example(nonfinite_case("b_out", slice(None), [INF] + [-INF] * 5))
+@example(nonfinite_case("b_out", slice(None), [NAN] + [-INF] * 5))
+# a NaN source embedding: NaN length logits, and a NaN row of logits
+# where the output copies it
+@example(nonfinite_case("src_emb", 3, NAN, tokens=(3, 2, 4)))
 def test_decode_equals_the_reference_byte_for_byte(case):
     model, lp, bias, tokens = case
     want = reference_decode(model, lp, tuple(tokens))

@@ -162,35 +162,68 @@ def test_spans_equal_one_table_per_gram(R, V, n, k, seed):
     assert got.tobytes() == total.tobytes()
 
 
+def nan_as_nan(x):
+    """The bytes of float array x with every NaN made np.nan. IEEE 754
+    leaves the sign of NaN * NaN to the implementation, and numpy's
+    contiguous multiply loop keeps either operand's by element position;
+    every other bit is compared."""
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 10), st.sampled_from([2, 3, 24]), st.integers(1, 4),
     st.integers(1, 6), st.integers(0, 2**32 - 1),
+    st.sampled_from(["finite", "nan row", "inf cells", "nan and inf", "underflow"]),
 )
-@example(R=2, V=3, n=3, k=2, seed=0)  # R < n: no window
-@example(R=3, V=3, n=3, k=1, seed=1)  # R = n, one gram
-def test_whole_table_pairs_equal_full_spans(R, V, n, k, seed):
-    # the whole-table layout is the ragged one of a full span per gram,
-    # bit for bit, and so are the counts of the one-table entry points;
-    # some grams repeat a token and some cells hold -0.0
+@example(R=2, V=3, n=3, k=2, seed=0, kind="finite")  # R < n: no window
+@example(R=3, V=3, n=3, k=1, seed=1, kind="finite")  # R = n, one gram
+@example(R=10, V=3, n=2, k=6, seed=2, kind="nan row")
+@example(R=10, V=2, n=3, k=6, seed=3, kind="inf cells")
+@example(R=8, V=3, n=4, k=6, seed=5, kind="nan and inf")  # NaN signs differ (x86-64)
+@example(R=10, V=3, n=4, k=6, seed=8, kind="underflow")  # a subnormal count
+@example(R=10, V=24, n=2, k=6, seed=8, kind="underflow")  # a subnormal count
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_whole_table_pairs_equal_full_spans(R, V, n, k, seed, kind):
+    # the default spans are one full span per gram: its pairs equal a
+    # per-window loop's, bit for bit, and the one-table entry points'
+    # position columns count what those pairs count; some grams repeat a
+    # token and some cells hold -0.0, and a table may hold a NaN row, +inf
+    # and -inf cells, or factors whose window products underflow to
+    # subnormals and zero
     rng = np.random.default_rng(seed)
     p = random_table(rng, R, V)
+    if kind == "underflow":
+        # factors near 10 ** (-316 / n), so their products straddle the
+        # smallest normal, 2.2e-308, and some underflow to zero
+        p **= 316 / (n * -np.log10(p).mean())
     p[rng.random(p.shape) < 0.2] = -0.0
+    if kind in ("inf cells", "nan and inf"):
+        # a zero factor times an inf one is NaN
+        cells = rng.choice(p.size, size=min(2, p.size), replace=False)
+        p.flat[cells] = [np.inf, -np.inf][: len(cells)]
+    if kind in ("nan row", "nan and inf"):
+        p[rng.integers(R)] = np.nan
     grams = rng.integers(0, V, size=(k, n))
     grams[::2, -1] = grams[::2, 0]
     spans = (np.zeros(k, dtype=np.intp), np.full(k, R))
-    for got, want in zip(factor_pairs(p, grams), factor_pairs(p, grams, spans)):
+    W = max(R - n + 1, 0)
+    cells = [[(r + i) * V + g[i] for i in range(n)]
+             for g in grams.tolist() for r in range(W)]
+    cells = np.array(cells, dtype=np.intp).reshape(-1, n)
+    loop = (np.full(k, W, dtype=np.intp), cells, p.flat[cells])
+    for got, want in zip(factor_pairs(p, grams), loop):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     want = expected_counts(p, grams, spans)
     got = [expected_ngram_count(p, tuple(g)) for g in grams.tolist()]
-    assert np.array(got).tobytes() == want.tobytes()
+    assert nan_as_nan(np.array(got)) == nan_as_nan(want)
     bag = expected_bag(p, dict.fromkeys(map(tuple, grams.tolist()), 1.0))
     if R < n:
         assert bag == {}
     else:
         got = [bag[tuple(g)] for g in grams.tolist()]
-        assert np.array(got).tobytes() == want.tobytes()
+        assert nan_as_nan(np.array(got)) == nan_as_nan(want)
 
 
 @pytest.mark.parametrize("k", [0, 9])
