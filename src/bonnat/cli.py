@@ -311,7 +311,6 @@ def _train_setup(args) -> tuple[TrainConfig, ModelDims]:
         config = TrainConfig(
             seed=args.seed, **{f: getattr(args, a) for f, a in _CONFIG_ARGS.items()}
         )
-        config.validate()
     except BoundError as exc:
         raise _flag_bound(exc) from None
     return config, dims
@@ -415,11 +414,6 @@ def cmd_correlate(args) -> int:
     pairs, vocab_size = _load_corpus(args)
     state, header = _load_checkpoint(args.ckpt, vocab_size)
     state.model.check_lengths([len(p.target) for p in pairs])
-    if args.subsets * args.subset_size > len(pairs):
-        raise UsageError(
-            f"corpus of {len(pairs)} too small for "
-            f"{args.subsets}x{args.subset_size}"
-        )
     scopes = [("all", pairs, args.subsets)]
     if args.split_length:
         short, long_ = eval_mod.split_short_long(pairs)

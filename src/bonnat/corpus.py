@@ -110,7 +110,7 @@ class SyntheticTaskSpec:
     seed: int
     target_noise: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in TASK_KINDS:
             raise CorpusError(f"unknown task kind: {self.kind!r}")
         if self.vocab_size < 4:
@@ -263,7 +263,6 @@ def generate_task(spec: SyntheticTaskSpec) -> list[ParallelPair]:
     - `random()` takes one whole word, (w >> 11) * 2^-53, and leaves the
       held half in place.
     """
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     subst = None
     if spec.kind == "dict":

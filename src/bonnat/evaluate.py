@@ -31,9 +31,8 @@ def bleu(
     candidates: Sequence[Sequence[int]],
     references: Sequence[Sequence[int]],
     smooth: bool = False,
-    max_n: int = MAX_BLEU_ORDER,
 ) -> BleuScore:
-    """Corpus BLEU with clipped n-gram counts up to max_n.
+    """Corpus BLEU with clipped n-gram counts up to MAX_BLEU_ORDER.
 
     With smooth=True the precisions for n >= 2 get add-one smoothing,
     which keeps small subsets away from hard zeros.
@@ -55,7 +54,8 @@ def bleu(
     # its reference share the pair's key
     pair = np.repeat(np.arange(2 * pairs) % pairs, lens)
     precisions = []
-    for n, (k, code) in enumerate(rank_windows(tokens, pair, max_n), start=1):
+    orders = rank_windows(tokens, pair, MAX_BLEU_ORDER)
+    for n, (k, code) in enumerate(orders, start=1):
         inside = windows_inside(lens, n)
         cand = np.bincount(code[:cand_len][inside[:cand_len]], minlength=k)
         ref = np.bincount(code[cand_len:][inside[cand_len:]], minlength=k)
@@ -66,7 +66,7 @@ def bleu(
     bp = min(1.0, math.exp(1.0 - ref_len / cand_len)) if cand_len else 0.0
     if cand_len == 0 or 0.0 in precisions:
         return BleuScore(0.0, precisions, bp)
-    value = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+    value = bp * math.exp(sum(math.log(p) for p in precisions) / MAX_BLEU_ORDER)
     return BleuScore(value, precisions, bp)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .ngram import count_ngrams, ragged_supports
 from .probmodel import (
-    expected_bag, expected_count_gradient, expected_counts, factor_pairs,
+    expected_bag, expected_count_gradient, factor_pairs, pair_counts,
 )
 
 LOG_CLAMP = 1e-12
@@ -150,7 +150,7 @@ def _group_bon_loss(p, ref, n, grad, lengths, out) -> GroupLoss:
     starts = np.cumsum(lengths) - lengths
     # one gather of the factors serves the counts and the gradient
     pairs = factor_pairs(p, grams, (starts[sent], lengths[sent]))
-    expected = expected_counts(p, grams, pairs=pairs)
+    expected = pair_counts(pairs)
     match, dp = _match_and_grad(p, len(lengths), sent, grams, ref_counts,
                                 expected, grad, out, pairs)
     windows = lengths - n + 1

@@ -333,7 +333,7 @@ class Adam:
         self.flat -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     schedule: str = "ce"
     alpha: float = JointConfig.alpha
@@ -344,7 +344,7 @@ class TrainConfig:
     batch_size: int = 16
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule: {self.schedule!r}")
         check_at_least([("steps", self.steps, 1), ("ft_steps", self.ft_steps, 0),
@@ -454,7 +454,6 @@ def train(
     continues its step count. A corpus with a target outside 1..p_max
     tokens is rejected before the first step, a CapacityError if longer.
     """
-    config.validate()
     if not corpus:
         raise ValueError("empty training corpus")
     if config.schedule == "bon-ft" and init is None:

@@ -5,15 +5,15 @@ after another. The expected count of an n-gram g is the sum over
 windows r of the product of its factors p[r + i, g[i]], multiplied in i
 order and added in window order.
 
-One table's counts (`expected_ngram_count`, `expected_bag`, and
-`expected_counts` without spans) gather their factors as position
-columns: factor i of every window of every gram is one k x W slice of
-the transposed table, and no index array is built. A stack, and every
-gradient, works over (gram, window) pairs instead: pair q of n-gram g
-and the window at row r has factors F[q, i] = p[r + i, g[i]] at the
-flat table cells cells[q, i]. Each gram has a span of rows, the whole
-table by default: one table is the case of one full-table span per
-gram.
+A whole table counts with `expected_counts` (and `expected_ngram_count`
+and `expected_bag`, which call it): factor i of every window of every
+gram is one k x W slice of the transposed table, its position columns,
+and no index array is built. A stack counts with
+`pair_counts(factor_pairs(...))`, and every gradient works over the same
+(gram, window) pairs: pair q of n-gram g and the window at row r has
+factors F[q, i] = p[r + i, g[i]] at the flat table cells cells[q, i].
+Each gram has a span of rows, the whole table by default, and
+`factor_pairs` is the one function that reads spans.
 
 `factor_pairs` gathers a call's pairs once, and a caller that wants
 both the counts and the gradient hands the same pairs to each. The
@@ -47,12 +47,14 @@ def _ragged(base: np.ndarray, start, count: np.ndarray, step: int) -> np.ndarray
 
 def factor_pairs(table, grams, spans=None) -> tuple:
     """(count, cells, F) of the (gram g, window at row r) pairs of the
-    k x n array `grams`, gram j's count[j] windows from the first row of
-    its span on (see `expected_counts`), in (gram, window) order:
-    cells[q, i] is the flat table index of cell (r + i, g[i]) and
-    F[q, i] = p[r + i, g[i]] the factor there, both P x n. Without
-    `spans` every gram spans the whole table. A stack's BoN loss and
-    every gradient build these pairs; one table's counts do not."""
+    k x n array `grams`, in (gram, window) order: cells[q, i] is the flat
+    table index of cell (r + i, g[i]) and F[q, i] = p[r + i, g[i]] the
+    factor there, both P x n. `spans` = (start, length) gives gram j the
+    table rows start[j] .. start[j] + length[j] - 1, so one call covers
+    the grams of many stacked sentences, each over its own rows; gram j
+    has count[j] windows, none for a span shorter than n. Without `spans`
+    every gram spans the whole table. This is the one function that reads
+    spans: `pair_counts` and `expected_count_gradient` take its pairs."""
     p = np.asarray(table, dtype=float)
     grams = np.array(grams, dtype=np.intp, ndmin=2)
     k, n = grams.shape
@@ -88,12 +90,19 @@ def _leave_one_out(F: np.ndarray) -> np.ndarray:
     return out
 
 
-def _column_counts(p: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """Whole-table counts of the k x n `grams`, from position columns:
-    factor i of the W windows of every gram is p.T[grams[:, i], i:i + W].
-    The in-order running sum of a row ends at the sum bincount adds from
-    +0.0; adding +0.0 gives that start's one effect, that a sum of -0.0
-    products is +0.0."""
+def expected_counts(table, grams) -> np.ndarray:
+    """Expected count of each n-gram of the k x n array `grams` over the
+    whole table: the sum over its windows of the product of its factors,
+    added in window order. Factor i of the W windows of every gram is the
+    position column slice p.T[grams[:, i], i:i + W], so no index array is
+    built. The in-order running sum of a row ends at the sum bincount
+    adds from +0.0; adding +0.0 gives that start's one effect, that a sum
+    of -0.0 products is +0.0. These are `pair_counts`' bits over full
+    spans but for the sign of a NaN: numpy's multiply loops give NaN * NaN
+    either operand's.
+    """
+    p = np.asarray(table, dtype=float)
+    grams = np.array(grams, dtype=np.intp, ndmin=2)
     k, n = grams.shape
     W = p.shape[0] - n + 1
     if W <= 0:
@@ -106,28 +115,14 @@ def _column_counts(p: np.ndarray, grams: np.ndarray) -> np.ndarray:
     return np.cumsum(prod, axis=1)[:, -1] + 0.0
 
 
-def expected_counts(table, grams, spans=None, pairs=None) -> np.ndarray:
-    """Expected count of each n-gram of the k x n array `grams`: the sum
-    over the windows of its span of the product of its factors.
-
-    `spans` = (start, length) gives gram j the table rows start[j] ..
-    start[j] + length[j] - 1, so one call counts the grams of many
-    stacked sentences, each over its own rows; a span shorter than n
-    counts 0. Window products are added in window order. With spans or
-    `pairs`, that is one bincount over the (gram, window) pairs:
-    `factor_pairs(table, grams, spans)`, or `pairs` when given. Without
-    either, every gram spans the whole table and its factors are
-    gathered as position columns (`_column_counts`), which gives the
-    pairs' bits but for the sign of a NaN: numpy's multiply loops give
-    NaN * NaN either operand's.
-    """
-    if spans is None and pairs is None:
-        return _column_counts(np.asarray(table, dtype=float),
-                              np.array(grams, dtype=np.intp, ndmin=2))
-    count, _, F = factor_pairs(table, grams, spans) if pairs is None else pairs
+def pair_counts(pairs) -> np.ndarray:
+    """Expected count of each gram of `factor_pairs`' (count, cells, F):
+    one bincount of the window products over the (gram, window) pairs,
+    added in window order; float64 zeros for a gram with no window."""
+    count, _, F = pairs
     k = len(count)
     return np.bincount(np.arange(k).repeat(count), weights=_products(F),
-                       minlength=k)
+                       minlength=k).astype(float, copy=False)
 
 
 def expected_ngram_count(table, g: Ngram) -> float:
@@ -173,16 +168,15 @@ def _merge_repeats(terms, grams, count, active) -> None:
             terms[rows + d, b] = 0.0
 
 
-def expected_count_gradient(table, grams, spans=None, out=None, pairs=None,
-                            active=None) -> np.ndarray:
+def expected_count_gradient(table, grams, pairs=None, active=None,
+                            out=None) -> np.ndarray:
     """d expected_ngram_count / d p(y_t = w), a table-shaped float64
-    matrix, summed over `grams`: one n-gram or a k x n array of them,
-    each over its span of rows as in `expected_counts`, and over those
-    where the k-long bool mask `active` holds when it is given. It is
-    written into `out`, a C-contiguous float64 array of the table's
-    shape, when one is given, and into a new array otherwise. The
-    (gram, window) pairs are `factor_pairs(table, grams, spans)`, or
-    `pairs` when given.
+    matrix, summed over `grams`, one n-gram or a k x n array of them, and
+    over their (gram, window) `pairs` from `factor_pairs`, the whole
+    table's when not given; only over the grams where the k-long bool
+    mask `active` holds when it is given. It is written into `out`, a
+    C-contiguous float64 array of the table's shape, when one is given,
+    and into a new array otherwise.
 
     The result equals, bit for bit, adding one gram's gradient after
     another, each accumulated window by window. One scatter adds every
@@ -196,7 +190,7 @@ def expected_count_gradient(table, grams, spans=None, out=None, pairs=None,
     """
     p = np.asarray(table, dtype=float)
     grams = np.array(grams, dtype=np.intp, ndmin=2)
-    count, cells, F = factor_pairs(p, grams, spans) if pairs is None else pairs
+    count, cells, F = factor_pairs(p, grams) if pairs is None else pairs
     terms = _leave_one_out(F)
     if active is None:
         active = np.ones(len(count), dtype=bool)

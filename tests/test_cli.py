@@ -417,6 +417,17 @@ def test_correlate_row_counts(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 10  # each loss x {short, long}
     assert {r["scope"] for r in rows} == {"short", "long"}
+    # each scope checks its own size: 5 x 30 is more than the 120 pairs,
+    # but its 2 + 2 subsets of 30 fit the halves, as 4 x 30's do
+    for subsets in ("4", "5"):
+        code, _, err = run(
+            [*base, "--subsets", subsets, "--subset-size", "30",
+             "--split-length", "--out", str(tmp_path / f"c{subsets}x30")],
+            capsys,
+        )
+        assert code == 0, err
+    assert (sha(tmp_path / "c4x30" / "correlation.csv")
+            == sha(tmp_path / "c5x30" / "correlation.csv"))
 
 
 def test_correlate_insufficient_corpus_exits_2(tmp_path, capsys):

@@ -75,17 +75,17 @@ def test_sources_avoid_adjacent_duplicates():
 
 def test_invalid_spec_rejected():
     with pytest.raises(corpus.CorpusError):
-        _spec("copy", vocab_size=3).validate()
+        _spec("copy", vocab_size=3)
     with pytest.raises(corpus.CorpusError):
-        _spec("copy", min_len=0).validate()
+        _spec("copy", min_len=0)
     with pytest.raises(corpus.CorpusError):
-        _spec("blorp").validate()
+        _spec("blorp")
     # wider ranges are drawn from 64-bit words
-    _spec("copy", vocab_size=2**32 + 2, min_len=1, max_len=2**32).validate()
+    _spec("copy", vocab_size=2**32 + 2, min_len=1, max_len=2**32)
     with pytest.raises(corpus.CorpusError, match="vocab size"):
-        _spec("copy", vocab_size=2**32 + 3).validate()
+        _spec("copy", vocab_size=2**32 + 3)
     with pytest.raises(corpus.CorpusError, match="length range"):
-        _spec("copy", min_len=1, max_len=2**32 + 1).validate()
+        _spec("copy", min_len=1, max_len=2**32 + 1)
 
 
 def per_token_generate(spec):

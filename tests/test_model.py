@@ -368,9 +368,8 @@ def test_model_dims_check_their_bounds(field, value, message):
     ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
 ])
 def test_train_rejects_a_config_out_of_bounds(fields, message):
-    config = TrainConfig(schedule="bon-joint-ft", **fields)
     with pytest.raises(BoundError) as exc:
-        train(config, small_corpus(), small_dims())
+        TrainConfig(schedule="bon-joint-ft", **fields)
     assert str(exc.value) == message
 
 

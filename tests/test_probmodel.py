@@ -23,6 +23,7 @@ from bonnat.probmodel import (
     expected_counts,
     expected_ngram_count,
     factor_pairs,
+    pair_counts,
 )
 
 
@@ -152,13 +153,14 @@ def test_spans_equal_one_table_per_gram(R, V, n, k, seed):
     grams[:, -1] = grams[:, 0]  # a repeated token, for _merge_repeats
     start = rng.integers(0, R, size=k)
     length = rng.integers(0, R - start + 1)
-    counts = expected_counts(p, grams, (start, length))
+    pairs = factor_pairs(p, grams, (start, length))
+    counts = pair_counts(pairs)
     total = np.zeros((R, V))
     for j, (a, T) in enumerate(zip(start, length)):
         rows = p[a : a + T]
         assert counts[j] == expected_counts(rows, grams[j])[0]
         total[a : a + T] += expected_count_gradient(rows, grams[j])
-    got = expected_count_gradient(p, grams, (start, length))
+    got = expected_count_gradient(p, grams, pairs=pairs)
     assert got.tobytes() == total.tobytes()
 
 
@@ -215,7 +217,8 @@ def test_whole_table_pairs_equal_full_spans(R, V, n, k, seed, kind):
     for got, want in zip(factor_pairs(p, grams), loop):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-    want = expected_counts(p, grams, spans)
+    want = pair_counts(factor_pairs(p, grams, spans))
+    assert want.dtype == float
     got = [expected_ngram_count(p, tuple(g)) for g in grams.tolist()]
     assert nan_as_nan(np.array(got)) == nan_as_nan(want)
     bag = expected_bag(p, dict.fromkeys(map(tuple, grams.tolist()), 1.0))
@@ -228,9 +231,10 @@ def test_whole_table_pairs_equal_full_spans(R, V, n, k, seed, kind):
 
 @pytest.mark.parametrize("k", [0, 9])
 def test_shared_pairs_equal_pairs_built_per_call(k):
-    # one call's (gram, window) pairs, given to the counts and to the
-    # gradient, give what each call gets from pairs it builds itself; a
-    # NaN table stacked beside a finite one, spans shorter than n
+    # one call's (gram, window) pairs with a gram made inactive give the
+    # gradient of pairs built for the other grams alone, as if it were not
+    # in the call; a NaN table stacked beside a finite one, spans shorter
+    # than n
     rng = np.random.default_rng(k)
     R, V, n = 14, 3, 3
     p = random_table(rng, R, V)
@@ -238,19 +242,12 @@ def test_shared_pairs_equal_pairs_built_per_call(k):
     grams = rng.integers(0, V, size=(k, n))
     start = np.array([0, 0, 2, 5, 7, 7, 9, 12, 0])[:k]
     length = np.array([7, 2, 5, 0, 7, 1, 5, 2, 14])[:k]
-    spans = (start, length)
-    pairs = factor_pairs(p, grams, spans)
-    want = expected_counts(p, grams, spans)
-    assert expected_counts(p, grams, spans, pairs).tobytes() == want.tobytes()
-    for active in (None, want <= 0.1):
-        want = expected_count_gradient(p, grams, spans, active=active)
-        got = expected_count_gradient(p, grams, spans, pairs=pairs, active=active)
-        assert got.tobytes() == want.tobytes()
-    # an inactive gram adds nothing, as if it were not in the call
-    keep = np.isfinite(expected_counts(p, grams, spans))
-    kept = expected_count_gradient(p, grams[keep], (start[keep], length[keep]))
-    got = expected_count_gradient(p, grams, spans, pairs=pairs, active=keep)
-    assert got.tobytes() == kept.tobytes()
+    pairs = factor_pairs(p, grams, (start, length))
+    keep = np.isfinite(pair_counts(pairs))
+    kept = factor_pairs(p, grams[keep], (start[keep], length[keep]))
+    want = expected_count_gradient(p, grams[keep], pairs=kept)
+    got = expected_count_gradient(p, grams, pairs=pairs, active=keep)
+    assert got.tobytes() == want.tobytes()
     assert np.isfinite(got[:7]).all()
 
 
