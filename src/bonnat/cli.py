@@ -44,7 +44,7 @@ from .model import (
     train,
 )
 from .ngram import count_ngrams
-from .probmodel import expected_ngram_count
+from .probmodel import expected_bag, expected_counts
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -373,7 +373,7 @@ def cmd_eval(args) -> int:
     edges = _bucket_edges(args.buckets)
     pairs, vocab_size = _load_corpus(args)
     state, header = _load_checkpoint(args.ckpt, vocab_size)
-    outputs, removed = eval_mod._decode_corpus(state.model, state.lp, pairs)
+    outputs, _ = eval_mod._decode_corpus(state.model, state.lp, pairs)
     score = eval_mod.bleu(outputs, [p.target for p in pairs])
     removed_rows = eval_mod.removed_token_report(state.model, state.lp, pairs)
     bucket_rows = eval_mod.length_bucket_bleu(state.model, state.lp, pairs, edges)
@@ -461,20 +461,15 @@ def cmd_oracle_check(args) -> int:
     if V**T > ORACLE_GUARD:
         raise UsageError(f"search space {V}^{T} exceeds the enumeration guard")
     rng = np.random.default_rng(args.seed)
+    every_gram = np.array(list(itertools.product(range(V), repeat=n)))
     max_dev = 0.0
     max_sum_dev = 0.0
     for _ in range(args.trials):
         table = random_table(rng, T, V)
         ref = tuple(int(x) for x in rng.integers(0, V, size=T))
-        for g in count_ngrams(ref, n):
-            dev = abs(
-                expected_ngram_count(table, g) - oracle_expected_bag(table, g)
-            )
-            max_dev = max(max_dev, dev)
-        total = sum(
-            expected_ngram_count(table, g)
-            for g in itertools.product(range(V), repeat=n)
-        )
+        for g, count in expected_bag(table, count_ngrams(ref, n)).items():
+            max_dev = max(max_dev, abs(count - oracle_expected_bag(table, g)))
+        total = sum(expected_counts(table, every_gram).tolist())
         max_sum_dev = max(max_sum_dev, abs(total - (T - n + 1)))
     tol = 1e-9 * (T - n + 1)
     ok = max_dev <= tol and max_sum_dev <= 1e-9
@@ -570,7 +565,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _apply_config(parser, commands, argv)
         _, _, run = COMMANDS[args.command]
         return run(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -92,8 +92,7 @@ def _match_and_grad(p, sentences, sent, grams, ref_counts, expected, grad,
         return match, None
     g = expected_count_gradient(p, grams, out=out, pairs=pairs,
                                 active=expected <= ref_counts)
-    # 0.0 - 2.0 * g in place; doubling is exact, so this equals
-    # subtracting 2x each gram's gradient in turn from zero
+    # 0.0 - 2.0 * g, in place
     g *= 2.0
     return match, np.subtract(0.0, g, out=g)
 

@@ -17,13 +17,12 @@ Each gram has a span of rows, the whole table by default, and
 
 `factor_pairs` gathers a call's pairs once, and a caller that wants
 both the counts and the gradient hands the same pairs to each. The
-gradient adds every pair's terms straight onto the zeroed table at
-those cells, and keeps the bits of the per-window loop it replaced:
-where a gram meets a cell twice (it repeats a token) the terms are
-summed first in the loop's order, and every term left out, a merged
-partner or one of an inactive gram, is +0.0. Adding +0.0 is exact for
-any cell that is not -0.0, and a cell never is: it starts at +0.0, and
-a sum is -0.0 only when both addends are.
+gradient adds every pair's leave-one-out terms straight onto the zeroed
+table at those cells, in (gram, window, position) order, as a loop over
+the active grams' windows and positions would; the term of an inactive
+gram is +0.0. Adding +0.0 is exact for any cell that is not -0.0, and a
+cell never is: it starts at +0.0, and a sum is -0.0 only when both
+addends are.
 The enumeration oracle that checks it lives in `bonnat.gradcheck`.
 """
 from __future__ import annotations
@@ -144,30 +143,6 @@ def expected_bag(table, support: Mapping[Ngram, float]) -> NgramBag:
     return dict(zip(grams, expected_counts(p, grams).tolist()))
 
 
-def _merge_repeats(terms, grams, count, active) -> None:
-    """Pre-add, in place, the leave-one-out terms of each active gram that
-    meet at one table cell, which happens where the gram repeats a token:
-    the term at position c of window t and the one at position b < c of
-    window t + c - b, when g[b] = g[c]. The cell's term of the latest
-    position holds their sum, its partners added in descending position
-    as the loop over windows adds them, and the partners become +0.0.
-    The sum is the loop's sum for the gram and cell, but for the sign of
-    a zero, which adding it to a cell that is not -0.0 ignores."""
-    n = grams.shape[1]
-    first = np.cumsum(count) - count
-    for c in range(n - 1, 0, -1):
-        for b in range(c - 1, -1, -1):
-            d = c - b
-            same = (grams[:, b] == grams[:, c]) & active & (count > d)
-            j = np.flatnonzero(same)
-            if not len(j):
-                continue
-            # rows t of gram j whose partner window t + d is one of its own
-            rows = _ragged(first[j, None], 0, count[j] - d, 1).ravel()
-            terms[rows, c] += terms[rows + d, b]
-            terms[rows + d, b] = 0.0
-
-
 def expected_count_gradient(table, grams, pairs=None, active=None,
                             out=None) -> np.ndarray:
     """d expected_ngram_count / d p(y_t = w), a table-shaped float64
@@ -178,25 +153,19 @@ def expected_count_gradient(table, grams, pairs=None, active=None,
     C-contiguous float64 array of the table's shape, when one is given,
     and into a new array otherwise.
 
-    The result equals, bit for bit, adding one gram's gradient after
-    another, each accumulated window by window. One scatter adds every
-    pair's leave-one-out terms onto the zeroed table at its factors'
-    cells, in (gram, window, i) order. A gram meets a cell at most once
-    but where it repeats a token, so those terms are first summed in the
-    loop's order into one (`_merge_repeats`); the partners it leaves and
-    the terms of inactive grams are +0.0. Adding +0.0 to a cell changes
-    no bit, because a cell is never -0.0: it starts at +0.0, and x + y
-    is -0.0 only when both are.
+    The result equals, bit for bit, a loop that adds each active gram's
+    terms, window by window and position by position, straight into one
+    table from +0.0: one scatter adds every pair's leave-one-out terms
+    onto the zeroed table at its factors' cells, in (gram, window, i)
+    order, with the terms of inactive grams made +0.0. Adding +0.0 to a
+    cell changes no bit, because a cell is never -0.0: it starts at
+    +0.0, and x + y is -0.0 only when both are.
     """
     p = np.asarray(table, dtype=float)
-    grams = np.array(grams, dtype=np.intp, ndmin=2)
     count, cells, F = factor_pairs(p, grams) if pairs is None else pairs
     terms = _leave_one_out(F)
-    if active is None:
-        active = np.ones(len(count), dtype=bool)
-    else:
+    if active is not None:
         terms[np.repeat(~active, count)] = 0.0
-    _merge_repeats(terms, grams, count, active)
     if out is None:
         out = np.zeros(p.shape)
     else:

@@ -140,7 +140,12 @@ def test_pearson_zero_variance():
 
 
 @given(
-    st.lists(st.floats(-50, 50), min_size=3, max_size=12),
+    # a grid of step 2^-40, on which a*x + 1.0 is exact for every a drawn:
+    # off it that rounding alone can move r by more than the tolerance
+    st.lists(
+        st.integers(-50 * 2**40, 50 * 2**40).map(lambda i: i / 2**40),
+        min_size=3, max_size=12,
+    ),
     st.sampled_from([-2.0, -0.5, 0.5, 3.0]),
 )
 def test_pearson_scale_shift_invariance(xs, a):

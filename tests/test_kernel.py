@@ -2,14 +2,14 @@
 replaced, kept here as the reference.
 
 The kernel keeps the loops' arithmetic order (factors multiplied in n
-order, windows added in t order, per-gram gradients added in gram
-order), so values, matches and gradients must agree exactly, signed
-zeros included.
+order, windows added in t order, gradient terms added straight into one
+table in (gram, window, position) order), so values, matches and
+gradients must agree exactly, signed zeros included.
 """
 import itertools
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bonnat.gradcheck import oracle_expected_bag
@@ -22,11 +22,13 @@ from bonnat.probmodel import (
 )
 
 
-def loop_count_gradient(p, g):
-    """d expected count of g / d p, one window at a time."""
+def loop_count_gradient(p, g, grad=None):
+    """d expected count of g / d p, one window at a time, its terms added
+    onto `grad` (a new zero table when not given), which it returns."""
     T, V = p.shape
     n = len(g)
-    grad = np.zeros((T, V))
+    if grad is None:
+        grad = np.zeros((T, V))
     if T < n:
         return grad
     for t in range(T - n + 1):
@@ -55,19 +57,21 @@ def loop_expected_bag(p, support):
 
 
 def loop_bon_loss(p, ref, n):
-    """Normalized BoN-L1 with one gradient call per active n-gram."""
+    """Normalized BoN-L1 with one gradient call per active n-gram, each
+    adding its terms into one table."""
     T, V = p.shape
     if T < n or len(ref) < n:
         return LossResult(value=0.0, grad=np.zeros((T, V)), degenerate=True)
     ref_bag = count_ngrams(ref, n)
     model_bag = loop_expected_bag(p, ref_bag)
     match = 0.0
-    grad = np.zeros((T, V))
+    acc = np.zeros((T, V))
     for g, ref_count in ref_bag.items():
         expected = model_bag.get(g, 0.0)
         match += min(expected, ref_count)
         if expected <= ref_count:
-            grad -= 2.0 * loop_count_gradient(p, g)
+            loop_count_gradient(p, g, acc)
+    grad = 0.0 - 2.0 * acc
     scale = 2.0 * (T - n + 1)
     value = max(0.0, 2.0 * (T - n + 1 - match))
     return LossResult(value=value / scale, grad=grad / scale, match=match)
@@ -102,8 +106,15 @@ def bon_cases(draw):
     return p, ref, n
 
 
+# gram (1, 0) touches cell (2, 0) before gram (0, 0) adds its two terms
+# there: summing those two first would give other bits at that cell
+_ORDER_RAW = np.random.default_rng(5).random((4, 3))
+
+
 @settings(max_examples=300, deadline=None)
 @given(bon_cases())
+@example(case=(_ORDER_RAW / _ORDER_RAW.sum(axis=1, keepdims=True),
+               (1, 0, 0, 0), 2))
 def test_kernel_equals_loop_reference_exactly(case):
     p, ref, n = case
     got = bon_loss(p, ref, n)
@@ -162,13 +173,13 @@ def test_summed_gradient_over_grams():
     grams = [(1, 2), (2, 2), (4, 0)]
     total = np.zeros((7, 5))
     for g in grams:
-        total += loop_count_gradient(p, g)
+        loop_count_gradient(p, g, total)
     assert same_bits(expected_count_gradient(p, np.array(grams)), total)
     empty = expected_count_gradient(p, np.zeros((0, 2), dtype=int))
     assert same_bits(empty, np.zeros((7, 5)))
 
 
-def test_repeated_token_merge_equals_per_sentence_loop():
+def test_repeated_tokens_stacked_equal_per_sentence_loop():
     """Grams that repeat a token at each distance 1..n-1 at n = 4 (x x,
     x y x, x y z x, x y x y and x x x), stacked, with inactive grams
     between active ones: the stacked gradient, written over a NaN-filled

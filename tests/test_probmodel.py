@@ -25,6 +25,7 @@ from bonnat.probmodel import (
     factor_pairs,
     pair_counts,
 )
+from test_kernel import loop_count_gradient
 
 
 def one_hot_table(sentence, V):
@@ -145,12 +146,12 @@ def test_gradient_matches_finite_differences():
 )
 def test_spans_equal_one_table_per_gram(R, V, n, k, seed):
     # each gram over its own rows, which may overlap or be shorter than n,
-    # gives the counts of its rows as a table, and the gradients of those
-    # tables added in gram order, bit for bit
+    # gives the counts of its rows as a table, and its gradient terms
+    # added onto those rows in (gram, window, position) order, bit for bit
     rng = np.random.default_rng(seed)
     p = random_table(rng, R, V) ** int(rng.integers(1, 9))
     grams = rng.integers(0, V, size=(k, n))
-    grams[:, -1] = grams[:, 0]  # a repeated token, for _merge_repeats
+    grams[:, -1] = grams[:, 0]  # a repeated token meets a cell twice
     start = rng.integers(0, R, size=k)
     length = rng.integers(0, R - start + 1)
     pairs = factor_pairs(p, grams, (start, length))
@@ -159,7 +160,7 @@ def test_spans_equal_one_table_per_gram(R, V, n, k, seed):
     for j, (a, T) in enumerate(zip(start, length)):
         rows = p[a : a + T]
         assert counts[j] == expected_counts(rows, grams[j])[0]
-        total[a : a + T] += expected_count_gradient(rows, grams[j])
+        loop_count_gradient(rows, grams[j], total[a : a + T])
     got = expected_count_gradient(p, grams, pairs=pairs)
     assert got.tobytes() == total.tobytes()
 
