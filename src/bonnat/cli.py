@@ -153,16 +153,13 @@ def _gradcheck_args(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser(only: str | None = None) -> tuple[argparse.ArgumentParser, dict]:
-    """The parser and its subparser for each command name. Every command
-    is registered with its help; with `only`, only that command's
-    subparser gets its arguments, which is all a parse that selects it
-    reads."""
+    """The parser and its subparser for each command name; with `only`,
+    for that command alone, which is all a parse that selects it reads."""
     parser = _Parser(prog="bonnat")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_, add_args, _) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
         if only is None or only == name:
-            add_args(p)
+            add_args(sub.add_parser(name, help=help_))
     return parser, sub.choices
 
 
@@ -557,9 +554,8 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # the command is argv's first token that is not an option, since the
-    # top-level parser has no option that takes a value
-    command = next((a for a in argv if not a.startswith("-")), None)
+    # an option first, such as --help, or no command needs every command
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     parser, commands = build_parser(command)
     try:
         args = _apply_config(parser, commands, argv)

@@ -66,7 +66,7 @@ def cross_entropy(table, ref: Sequence[int], dense: bool = True) -> LossResult:
         )
     rows = np.arange(T)
     picked = np.maximum(p[rows, ref], LOG_CLAMP)
-    value = float(-np.log(picked).sum())
+    value = float(-np.add.reduce(np.log(picked)))
     cells = -1.0 / picked
     if not dense:
         return LossResult(value=value, grad=cells)
@@ -75,26 +75,22 @@ def cross_entropy(table, ref: Sequence[int], dense: bool = True) -> LossResult:
     return LossResult(value=value, grad=grad)
 
 
-def _match_and_grad(p, sentences, sent, grams, ref_counts, expected, grad,
-                    out=None, pairs=None):
-    """Per-sentence matches of a stack of `sentences` sentences, and the
-    stacked gradient of their BoN-L1 (None without `grad`; written into
-    `out` when given), from the reference support of each: n-gram
-    grams[j] of sentence sent[j], counted ref_counts[j] times in the
-    reference and expected[j] times in the table over the (gram, window)
-    `pairs` that counted it, or over the whole table without them. Only
-    the gradient reads `grams`."""
-    # added in support order, as a running sum would
-    match = np.bincount(
-        sent, weights=np.minimum(expected, ref_counts), minlength=sentences
-    )
-    if not grad:
-        return match, None
-    g = expected_count_gradient(p, grams, out=out, pairs=pairs,
-                                active=expected <= ref_counts)
-    # 0.0 - 2.0 * g, in place
+def _in_order_sum(values) -> float:
+    """`values` added one by one from 0.0, as np.bincount adds its
+    weights; not the built-in sum(), which compensates from Python 3.12."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def _bon_grad(p, grams, active, out=None, pairs=None) -> np.ndarray:
+    """The stacked BoN-L1 gradient, 0.0 - 2 * the expected count gradient
+    over the grams where `active` (expected <= reference) holds, written
+    into `out` when given."""
+    g = expected_count_gradient(p, grams, out=out, pairs=pairs, active=active)
     g *= 2.0
-    return match, np.subtract(0.0, g, out=g)
+    return np.subtract(0.0, g, out=g)
 
 
 def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
@@ -115,13 +111,15 @@ def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
         return LossResult(value=0.0, grad=zero, degenerate=True)
     ref_bag = count_ngrams(ref, n)
     model_bag = expected_bag(p, ref_bag)
-    k = len(ref_bag)
-    match, dp = _match_and_grad(
-        p, 1, np.zeros(k, dtype=np.intp), list(ref_bag) if grad else None,
-        np.fromiter(ref_bag.values(), float, k),
-        np.fromiter(model_bag.values(), float, k), grad,
-    )
-    match = float(match[0])
+    # min(expected, reference) in support order: a NaN expected count
+    # stays NaN, as with np.minimum
+    match = _in_order_sum(map(min, model_bag.values(), ref_bag.values()))
+    dp = None
+    if grad:
+        k = len(ref_bag)
+        active = (np.fromiter(model_bag.values(), float, k)
+                  <= np.fromiter(ref_bag.values(), float, k))
+        dp = _bon_grad(p, list(ref_bag), active)
     # match <= T-n+1 holds exactly; clamp the float rounding residue so
     # the loss (and its [0,1] normalization) cannot go negative. max(x, 0.0)
     # returns x unless 0.0 > x, so a NaN x stays NaN
@@ -150,8 +148,10 @@ def _group_bon_loss(p, ref, n, grad, lengths, out) -> GroupLoss:
     # one gather of the factors serves the counts and the gradient
     pairs = factor_pairs(p, grams, (starts[sent], lengths[sent]))
     expected = pair_counts(pairs)
-    match, dp = _match_and_grad(p, len(lengths), sent, grams, ref_counts,
-                                expected, grad, out, pairs)
+    # added in support order, as a running sum would
+    match = np.bincount(sent, weights=np.minimum(expected, ref_counts),
+                        minlength=len(lengths))
+    dp = _bon_grad(p, grams, expected <= ref_counts, out, pairs) if grad else None
     windows = lengths - n + 1
     # bon_l1's value, elementwise: np.maximum keeps a NaN, as max(x, 0.0)
     value = np.maximum(2.0 * (windows - match), 0.0)
@@ -160,7 +160,8 @@ def _group_bon_loss(p, ref, n, grad, lengths, out) -> GroupLoss:
     values = value / scale
     if dp is not None:
         dp /= np.repeat(scale, lengths)[:, None]
-    return GroupLoss(values, sum(values.tolist()), dp, int((lengths < n).sum()))
+    return GroupLoss(values, _in_order_sum(values.tolist()), dp,
+                     int((lengths < n).sum()))
 
 
 def bon_loss(
@@ -185,11 +186,10 @@ def bon_loss(
     if raw.degenerate:
         return raw
     scale = 2.0 * (p.shape[0] - n + 1)
-    return LossResult(
-        value=raw.value / scale,
-        grad=None if raw.grad is None else raw.grad / scale,
-        match=raw.match,
-    )
+    raw.value /= scale
+    if raw.grad is not None:
+        raw.grad /= scale
+    return raw
 
 
 def mix(ce_weight: float, ce, bon):

@@ -69,9 +69,10 @@ def _uniform(shapes: dict[str, tuple[int, ...]], rng: np.random.Generator):
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in place in `logits`."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    # the reductions that .max and .sum call, without their wrappers
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
     return logits
 
 

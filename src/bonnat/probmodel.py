@@ -27,6 +27,7 @@ The enumeration oracle that checks it lives in `bonnat.gradcheck`.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -111,7 +112,7 @@ def expected_counts(table, grams) -> np.ndarray:
     prod = cols[grams[:, 0], :W]
     for i in range(1, n):
         prod = prod * cols[grams[:, i], i : i + W]
-    return np.cumsum(prod, axis=1)[:, -1] + 0.0
+    return np.add.accumulate(prod, axis=1)[:, -1] + 0.0
 
 
 def pair_counts(pairs) -> np.ndarray:
@@ -138,9 +139,11 @@ def expected_bag(table, support: Mapping[Ngram, float]) -> NgramBag:
     if not support:
         return {}
     grams = list(support)
-    if p.shape[0] < len(grams[0]):
+    k, n = len(grams), len(grams[0])
+    if p.shape[0] < n:
         return {}
-    return dict(zip(grams, expected_counts(p, grams).tolist()))
+    flat = np.fromiter(chain.from_iterable(grams), np.intp, k * n)
+    return dict(zip(grams, expected_counts(p, flat.reshape(k, n)).tolist()))
 
 
 def expected_count_gradient(table, grams, pairs=None, active=None,

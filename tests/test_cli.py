@@ -793,14 +793,25 @@ def test_parse_errors_are_the_full_parsers(argv, capsys):
 
 
 def test_help_lists_every_command(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--help"])
-    assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert out == cli.build_parser()[0].format_help()
-    for name, (help_, _, _) in cli.COMMANDS.items():
-        assert re.search(rf"^ +{name} +{re.escape(help_)}$", out, re.M)
+    # an option ahead of the command builds every command, as --help does
+    for argv in (["--help"], ["-h", "train"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out == cli.build_parser()[0].format_help()
+        for name, (help_, _, _) in cli.COMMANDS.items():
+            assert re.search(rf"^ +{name} +{re.escape(help_)}$", out, re.M)
     assert len(cli.COMMANDS) == 6
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_command_help_is_the_full_parsers(command, capsys):
+    # main registers only the invoked command's subparser
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == cli.build_parser()[1][command].format_help()
 
 
 def test_gen_data_rejects_file_flags_and_writes_the_task(tmp_path, capsys):
