@@ -33,7 +33,7 @@ from .gradcheck import (
     tiny_model,
     worst_rel_error,
 )
-from .loss import JointConfig, bon_loss, cross_entropy, joint_loss
+from .loss import JointConfig, bon_loss, cross_entropy, in_order_sum, joint_loss
 from .model import (
     SCHEDULES,
     BoundError,
@@ -466,7 +466,7 @@ def cmd_oracle_check(args) -> int:
         ref = tuple(int(x) for x in rng.integers(0, V, size=T))
         for g, count in expected_bag(table, count_ngrams(ref, n)).items():
             max_dev = max(max_dev, abs(count - oracle_expected_bag(table, g)))
-        total = sum(expected_counts(table, every_gram).tolist())
+        total = in_order_sum(expected_counts(table, every_gram).tolist())
         max_sum_dev = max(max_sum_dev, abs(total - (T - n + 1)))
     tol = 1e-9 * (T - n + 1)
     ok = max_dev <= tol and max_sum_dev <= 1e-9

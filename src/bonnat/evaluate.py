@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import ParallelPair
-from .loss import bon_loss, cross_entropy
+from .loss import bon_loss, cross_entropy, in_order_sum
 from .model import LengthPredictor, NatModel, decode, postprocess
 from .ngram import rank_windows, stack, windows_inside
 
@@ -66,7 +66,7 @@ def bleu(
     bp = min(1.0, math.exp(1.0 - ref_len / cand_len)) if cand_len else 0.0
     if cand_len == 0 or 0.0 in precisions:
         return BleuScore(0.0, precisions, bp)
-    value = bp * math.exp(sum(math.log(p) for p in precisions) / MAX_BLEU_ORDER)
+    value = bp * math.exp(in_order_sum(map(math.log, precisions)) / MAX_BLEU_ORDER)
     return BleuScore(value, precisions, bp)
 
 

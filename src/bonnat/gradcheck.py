@@ -88,13 +88,11 @@ def random_table(rng: np.random.Generator, T: int, V: int) -> np.ndarray:
 
 
 def min_tie_gap(probs: np.ndarray, ref: Sequence[int], n: int) -> float:
-    """Smallest |expected - reference| over the reference support; the
-    subgradient of the BoN loss switches branch at zero gap."""
+    """Smallest |expected - reference| over the support of a reference
+    of at least n tokens; the BoN subgradient switches branch at 0."""
     ref_bag = count_ngrams(ref, n)
-    if not ref_bag:
-        return float("inf")
-    model_bag = expected_bag(probs, ref_bag)
-    return min(abs(model_bag.get(g, 0.0) - c) for g, c in ref_bag.items())
+    model_bag = expected_bag(probs, ref_bag)  # every gram, in support order
+    return min(abs(e - c) for e, c in zip(model_bag.values(), ref_bag.values()))
 
 
 def tiny_model(seed: int, vocab: int = 5, d: int = 4, h: int = 8,

@@ -75,7 +75,7 @@ def cross_entropy(table, ref: Sequence[int], dense: bool = True) -> LossResult:
     return LossResult(value=value, grad=grad)
 
 
-def _in_order_sum(values) -> float:
+def in_order_sum(values) -> float:
     """`values` added one by one from 0.0, as np.bincount adds its
     weights; not the built-in sum(), which compensates from Python 3.12."""
     total = 0.0
@@ -84,11 +84,11 @@ def _in_order_sum(values) -> float:
     return total
 
 
-def _bon_grad(p, grams, active, out=None, pairs=None) -> np.ndarray:
-    """The stacked BoN-L1 gradient, 0.0 - 2 * the expected count gradient
-    over the grams where `active` (expected <= reference) holds, written
-    into `out` when given."""
-    g = expected_count_gradient(p, grams, out=out, pairs=pairs, active=active)
+def _bon_grad(p, pairs, active, out=None) -> np.ndarray:
+    """The BoN-L1 gradient, 0.0 - 2 * the expected count gradient over the
+    `factor_pairs` pairs of the grams where `active` (expected <=
+    reference) holds, written into `out` when given."""
+    g = expected_count_gradient(p, pairs, active, out)
     g *= 2.0
     return np.subtract(0.0, g, out=g)
 
@@ -113,13 +113,13 @@ def bon_l1(table, ref: Sequence[int], n: int, grad: bool = True) -> LossResult:
     model_bag = expected_bag(p, ref_bag)
     # min(expected, reference) in support order: a NaN expected count
     # stays NaN, as with np.minimum
-    match = _in_order_sum(map(min, model_bag.values(), ref_bag.values()))
+    match = in_order_sum(map(min, model_bag.values(), ref_bag.values()))
     dp = None
     if grad:
         k = len(ref_bag)
         active = (np.fromiter(model_bag.values(), float, k)
                   <= np.fromiter(ref_bag.values(), float, k))
-        dp = _bon_grad(p, list(ref_bag), active)
+        dp = _bon_grad(p, factor_pairs(p, list(ref_bag)), active)
     # match <= T-n+1 holds exactly; clamp the float rounding residue so
     # the loss (and its [0,1] normalization) cannot go negative. max(x, 0.0)
     # returns x unless 0.0 > x, so a NaN x stays NaN
@@ -151,7 +151,7 @@ def _group_bon_loss(p, ref, n, grad, lengths, out) -> GroupLoss:
     # added in support order, as a running sum would
     match = np.bincount(sent, weights=np.minimum(expected, ref_counts),
                         minlength=len(lengths))
-    dp = _bon_grad(p, grams, expected <= ref_counts, out, pairs) if grad else None
+    dp = _bon_grad(p, pairs, expected <= ref_counts, out) if grad else None
     windows = lengths - n + 1
     # bon_l1's value, elementwise: np.maximum keeps a NaN, as max(x, 0.0)
     value = np.maximum(2.0 * (windows - match), 0.0)
@@ -160,7 +160,7 @@ def _group_bon_loss(p, ref, n, grad, lengths, out) -> GroupLoss:
     values = value / scale
     if dp is not None:
         dp /= np.repeat(scale, lengths)[:, None]
-    return GroupLoss(values, _in_order_sum(values.tolist()), dp,
+    return GroupLoss(values, in_order_sum(values.tolist()), dp,
                      int((lengths < n).sum()))
 
 

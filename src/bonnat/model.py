@@ -452,11 +452,14 @@ def train(
     Losses are averaged over the batch; the length predictor is trained
     jointly with its own cross-entropy at weight 1. An `init` state is
     left as it is: training starts from copies of its parameters and
-    continues its step count. A corpus with a target outside 1..p_max
-    tokens is rejected before the first step, a CapacityError if longer.
+    continues its step count. A corpus with an empty source or a target
+    outside 1..p_max tokens is rejected before the first step, a
+    CapacityError if longer.
     """
     if not corpus:
         raise ValueError("empty training corpus")
+    if not all(pair.source for pair in corpus):
+        raise ValueError("empty source")
     if config.schedule == "bon-ft" and init is None:
         raise ValueError("fine-tune requires a source checkpoint")
     rng = np.random.default_rng(config.seed)

@@ -17,9 +17,10 @@ Each gram has a span of rows, the whole table by default, and
 
 `factor_pairs` gathers a call's pairs once, and a caller that wants
 both the counts and the gradient hands the same pairs to each. The
-gradient adds every pair's leave-one-out terms straight onto the zeroed
-table at those cells, in (gram, window, position) order, as a loop over
-the active grams' windows and positions would; the term of an inactive
+gradient always takes pairs, a whole table's as a stack's. It adds
+every pair's leave-one-out terms straight onto the zeroed table at
+those cells, in (gram, window, position) order, as a loop over the
+active grams' windows and positions would; the term of an inactive
 gram is +0.0. Adding +0.0 is exact for any cell that is not -0.0, and a
 cell never is: it starts at +0.0, and a sum is -0.0 only when both
 addends are.
@@ -146,15 +147,13 @@ def expected_bag(table, support: Mapping[Ngram, float]) -> NgramBag:
     return dict(zip(grams, expected_counts(p, flat.reshape(k, n)).tolist()))
 
 
-def expected_count_gradient(table, grams, pairs=None, active=None,
-                            out=None) -> np.ndarray:
+def expected_count_gradient(table, pairs, active=None, out=None) -> np.ndarray:
     """d expected_ngram_count / d p(y_t = w), a table-shaped float64
-    matrix, summed over `grams`, one n-gram or a k x n array of them, and
-    over their (gram, window) `pairs` from `factor_pairs`, the whole
-    table's when not given; only over the grams where the k-long bool
-    mask `active` holds when it is given. It is written into `out`, a
-    C-contiguous float64 array of the table's shape, when one is given,
-    and into a new array otherwise.
+    matrix, summed over the (gram, window) `pairs` that `factor_pairs`
+    returns, the ones `pair_counts` reads; only over the grams where the
+    k-long bool mask `active` holds when it is given. It is written into
+    `out`, a C-contiguous float64 array of the table's shape, when one is
+    given, and into a new array otherwise.
 
     The result equals, bit for bit, a loop that adds each active gram's
     terms, window by window and position by position, straight into one
@@ -164,13 +163,12 @@ def expected_count_gradient(table, grams, pairs=None, active=None,
     cell changes no bit, because a cell is never -0.0: it starts at
     +0.0, and x + y is -0.0 only when both are.
     """
-    p = np.asarray(table, dtype=float)
-    count, cells, F = factor_pairs(p, grams) if pairs is None else pairs
+    count, cells, F = pairs
     terms = _leave_one_out(F)
     if active is not None:
         terms[np.repeat(~active, count)] = 0.0
     if out is None:
-        out = np.zeros(p.shape)
+        out = np.zeros(np.shape(table))
     else:
         out.fill(0.0)
     np.add.at(out.reshape(-1), cells.ravel(), terms.ravel())

@@ -549,6 +549,20 @@ def test_gradcheck_passes(loss, capsys):
     assert "worst_rel_err" in out
 
 
+def test_gradcheck_resamples_a_tie(capsys, monkeypatch):
+    calls = []
+
+    def tie_once(*_):
+        calls.append(1)
+        return 0.0 if len(calls) == 1 else 1.0
+
+    monkeypatch.setattr(cli, "min_tie_gap", tie_once)
+    code, out, _ = run(["gradcheck", "--loss", "bon", "--trials", "2"], capsys)
+    assert code == 0
+    assert "status=ok" in out and "resampled_ties=1" in out
+    assert len(calls) == 3
+
+
 def no_trials(*_):
     raise AssertionError("a trial ran")
 

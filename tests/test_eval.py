@@ -17,6 +17,7 @@ from bonnat.evaluate import (
     removed_token_report,
     split_short_long,
 )
+from bonnat.loss import in_order_sum
 from bonnat.model import ModelDims, TrainConfig, train
 
 
@@ -88,7 +89,7 @@ def counter_bleu(candidates, references, smooth=False, max_n=4):
         bp = 0.0 if cand_len == 0 else min(1.0, math.exp(1.0 - ref_len / cand_len))
         return BleuScore(0.0, precisions, bp)
     bp = min(1.0, math.exp(1.0 - ref_len / cand_len))
-    value = bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+    value = bp * math.exp(in_order_sum(map(math.log, precisions)) / max_n)
     return BleuScore(value, precisions, bp)
 
 
@@ -137,6 +138,9 @@ def test_pearson_hand_computed():
 def test_pearson_zero_variance():
     with pytest.raises(UndefinedCorrelation):
         pearson([1, 1, 1], [1, 2, 3])
+    for xs, ys in [([1.0], [2.0]), ([1, 2, 3], [1, 2])]:
+        with pytest.raises(ValueError, match="^need two equal-length series"):
+            pearson(xs, ys)
 
 
 @given(
@@ -168,6 +172,8 @@ def test_split_short_long_examples():
     short, long_ = split_short_long(pairs)
     assert sorted(len(p.source) for p in short) == [2, 3]
     assert sorted(len(p.source) for p in long_) == [5, 9]
+    with pytest.raises(ValueError, match="^need at least two pairs to split$"):
+        split_short_long(pairs[:1])
 
 
 def test_split_short_long_odd_extra_to_long():

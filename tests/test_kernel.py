@@ -19,6 +19,7 @@ from bonnat.probmodel import (
     expected_bag,
     expected_count_gradient,
     expected_ngram_count,
+    factor_pairs,
 )
 
 
@@ -129,7 +130,8 @@ def test_kernel_equals_loop_reference_exactly(case):
         assert expected_bag(p, support) == want_bag
     for g in support:
         assert expected_ngram_count(p, g) == want_bag[g]
-        assert same_bits(expected_count_gradient(p, g), loop_count_gradient(p, g))
+        assert same_bits(expected_count_gradient(p, factor_pairs(p, g)),
+                         loop_count_gradient(p, g))
 
 
 @settings(max_examples=300, deadline=None)
@@ -174,8 +176,9 @@ def test_summed_gradient_over_grams():
     total = np.zeros((7, 5))
     for g in grams:
         loop_count_gradient(p, g, total)
-    assert same_bits(expected_count_gradient(p, np.array(grams)), total)
-    empty = expected_count_gradient(p, np.zeros((0, 2), dtype=int))
+    assert same_bits(expected_count_gradient(p, factor_pairs(p, grams)), total)
+    empty = expected_count_gradient(
+        p, factor_pairs(p, np.zeros((0, 2), dtype=int)))
     assert same_bits(empty, np.zeros((7, 5)))
 
 

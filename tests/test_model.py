@@ -438,6 +438,11 @@ def test_joint_alpha_zero_matches_bon_ft_schedule():
     assert [r["bon_loss"] for r in ft.log] == [r["bon_loss"] for r in joint.log]
 
 
+def test_unknown_schedule_rejected():
+    with pytest.raises(ValueError, match="^unknown schedule: 'x'$"):
+        TrainConfig(schedule="x")
+
+
 def test_bon_ft_requires_checkpoint():
     with pytest.raises(ValueError, match="source checkpoint"):
         train(TrainConfig(schedule="bon-ft", steps=10), small_corpus(), small_dims())
@@ -698,6 +703,8 @@ def test_train_checks_capacity_before_the_first_step(init_p_max, monkeypatch):
         train(config, [*corpus, too_long], dims, init=init)
     with pytest.raises(ValueError, match="^target length must be at least 1$"):
         train(config, [*corpus, ParallelPair((2, 3), ())], dims, init=init)
+    with pytest.raises(ValueError, match="^empty source$"):
+        train(config, [*corpus, ParallelPair((), (2, 3))], dims, init=init)
 
 
 def test_empty_corpus_rejected():

@@ -27,6 +27,8 @@ def test_too_short_gives_empty_bag():
 def test_zero_order_rejected():
     with pytest.raises(ValueError):
         count_ngrams((0, 1), 0)
+    with pytest.raises(ValueError, match="^n-gram order must be at least 1$"):
+        ragged_supports(np.array([0, 1]), np.array([2]), 0)
 
 
 def test_l1_norm_examples():

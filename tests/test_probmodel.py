@@ -115,7 +115,7 @@ def test_monotone_bound():
 def test_unigram_gradient_is_indicator():
     rng = np.random.default_rng(1)
     table = random_table(rng, 4, 3)
-    grad = expected_count_gradient(table, (2,))
+    grad = expected_count_gradient(table, factor_pairs(table, (2,)))
     expected = np.zeros((4, 3))
     expected[:, 2] = 1.0
     assert np.array_equal(grad, expected)
@@ -123,7 +123,7 @@ def test_unigram_gradient_is_indicator():
 
 def test_one_hot_gradient():
     table = one_hot_table((0, 1, 2), 3)
-    grad = expected_count_gradient(table, (0, 1))
+    grad = expected_count_gradient(table, factor_pairs(table, (0, 1)))
     # only the matching window contributes factors of one
     assert grad[0, 0] == pytest.approx(1.0)
     assert grad[1, 1] == pytest.approx(1.0)
@@ -134,7 +134,7 @@ def test_gradient_matches_finite_differences():
     for n in (1, 2, 3, 4):
         table = random_table(rng, 5, 3)
         g = tuple(rng.integers(0, 3, size=n))
-        analytic = expected_count_gradient(table, g)
+        analytic = expected_count_gradient(table, factor_pairs(table, g))
         numeric = fd_table_gradient(lambda p: expected_ngram_count(p, g), table)
         assert worst_rel_error(analytic, numeric) < 1e-6
 
@@ -161,7 +161,7 @@ def test_spans_equal_one_table_per_gram(R, V, n, k, seed):
         rows = p[a : a + T]
         assert counts[j] == expected_counts(rows, grams[j])[0]
         loop_count_gradient(rows, grams[j], total[a : a + T])
-    got = expected_count_gradient(p, grams, pairs=pairs)
+    got = expected_count_gradient(p, pairs)
     assert got.tobytes() == total.tobytes()
 
 
@@ -246,8 +246,8 @@ def test_shared_pairs_equal_pairs_built_per_call(k):
     pairs = factor_pairs(p, grams, (start, length))
     keep = np.isfinite(pair_counts(pairs))
     kept = factor_pairs(p, grams[keep], (start[keep], length[keep]))
-    want = expected_count_gradient(p, grams[keep], pairs=kept)
-    got = expected_count_gradient(p, grams, pairs=pairs, active=keep)
+    want = expected_count_gradient(p, kept)
+    got = expected_count_gradient(p, pairs, active=keep)
     assert got.tobytes() == want.tobytes()
     assert np.isfinite(got[:7]).all()
 
