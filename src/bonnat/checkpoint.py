@@ -27,8 +27,10 @@ class CheckpointError(ValueError):
 def save(path: str | Path, state: TrainState, seed: int) -> str:
     """Write the checkpoint; returns the SHA-256 of the bytes written."""
     path = Path(path)
-    blocks = {**state.model.params, **state.lp.params}
     d = state.model.dims
+    params = {**state.model.params, **state.lp.params}
+    # in the order that `_read` requires, whatever the dicts' order
+    blocks = {k: params[k] for k in (*NatModel.shapes(d), *LengthPredictor.shapes(d))}
     buf = bytearray()
     buf += MAGIC
     buf += _HEADER.pack(VERSION, d.vocab, d.d, d.h, d.p_max, d.dl_max,

@@ -561,8 +561,9 @@ def main(argv: list[str] | None = None) -> int:
         args = _apply_config(parser, commands, argv)
         _, _, run = COMMANDS[args.command]
         return run(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # Python's own MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

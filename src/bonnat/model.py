@@ -117,10 +117,10 @@ class NatModel:
         return idx
 
     def check_lengths(self, lengths: Sequence[int]) -> None:
-        """Every target length must lie in 1..p_max."""
-        if min(lengths) < 1:
+        """Every target length must lie in 1..p_max; an empty list passes."""
+        if min(lengths, default=1) < 1:
             raise ValueError("target length must be at least 1")
-        if max(lengths) > self.dims.p_max:
+        if max(lengths, default=0) > self.dims.p_max:
             raise CapacityError(f"target length {max(lengths)} exceeds "
                                 f"position capacity {self.dims.p_max}")
 

@@ -5,10 +5,10 @@ positive count. Counts are stored as floats so the same container also
 holds expected counts computed from probability tables.
 
 Many sentences at once are counted with arrays: `stack` lays them one
-after another, and `ragged_supports` codes each (sentence, n-gram)
-window as one integer and turns the codes into every sentence's bag, in
-`count_ngrams`' key order. `rank_windows` ranks the windows of each
-order instead, for BLEU and for token ids too far apart to code.
+after another, and `ragged_supports` sorts every window inside a
+sentence by its tokens, stably, and reads each sentence's bag off the
+runs, in `count_ngrams`' key order. `rank_windows` ranks the windows of
+each order, for BLEU.
 """
 from __future__ import annotations
 
@@ -86,20 +86,17 @@ def ragged_supports(
     lengths = np.asarray(lengths, dtype=np.int64)
     sent = np.repeat(np.arange(len(lengths)), lengths)
     pos = np.flatnonzero(windows_inside(lengths, n))
-    lo, hi = (int(tokens.min()), int(tokens.max())) if len(tokens) else (0, 0)
-    k = hi - lo + 1
-    if len(lengths) * k**n < 2**63:
-        # (sentence, n-gram) as the digits of one base-k number, with the
-        # sentence as its leading digit: every code is below 2**63
-        ids = tokens - lo
-        code = sent[pos]
-        for j in range(n):
-            code = code * k + ids[pos + j]
-    else:
-        for _, code in rank_windows(tokens, sent, n):
-            pass  # keep the last order's ranks, (sentence, n-gram) codes
-        code = code[pos]
-    _, first, counts = np.unique(code, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    start = pos[first[order]]
-    return sent[start], start, counts[order].astype(float)
+    # the stable sort keeps each n-gram's windows in position order, and
+    # the sentence does not decrease with position: each (sentence,
+    # n-gram) is one run, which starts where the sentence or a token changes
+    pos = pos[np.lexsort(tokens[pos + np.arange(n)[:, None]])]
+    head = np.ones(len(pos), dtype=bool)
+    head[1:] = sent[pos[1:]] != sent[pos[:-1]]
+    for j in range(n):
+        tok = tokens[pos + j]
+        head[1:] |= tok[1:] != tok[:-1]
+    heads = np.flatnonzero(head)
+    counts = np.diff(heads, append=len(pos))
+    by_first = np.argsort(pos[heads])
+    start = pos[heads[by_first]]
+    return sent[start], start, counts[by_first].astype(float)

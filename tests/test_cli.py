@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bonnat
@@ -169,6 +170,30 @@ def test_train_target_past_p_max_exits_2_before_training(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 2.10 TiB", "Unable to allocate 2.10 TiB"),
+    ("", "MemoryError"),  # Python's own MemoryError has no message
+], ids=["numpy", "python"])
+def test_out_of_memory_exits_2_with_one_line(message, line, tmp_path, capsys,
+                                             monkeypatch):
+    empty = np.empty
+
+    def refuse_large(shape, *args, **kwargs):
+        if np.prod(shape, dtype=float) > 1e8:
+            raise MemoryError(message)
+        return empty(shape, *args, **kwargs)
+
+    # the training workspace, batch x longest target x vocab cells, is
+    # refused without being allocated
+    monkeypatch.setattr(np, "empty", refuse_large)
+    code, out, err = run(
+        ["train", "--task", "copy", "--vocab", "8", "--pairs", "30", "--steps", "1",
+         "--batch", "1000000000", "--out", str(tmp_path / "run")], capsys
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {line}\n"
+
+
 def test_eval_outputs(tmp_path, capsys):
     run_dir = train_once(tmp_path, capsys, "run")
     code, out, err = run(
@@ -223,10 +248,29 @@ def cut_inside_a_block(run_dir, path):
     path.write_bytes((run_dir / "checkpoint.bin").read_bytes()[:-8])
 
 
+def saved_blocks(run_dir):
+    state, _ = ckpt.load(run_dir / "checkpoint.bin")
+    return {**state.model.params, **state.lp.params}
+
+
+def write_blocks(run_dir, path, blocks):
+    """The run's checkpoint header, then `blocks` in the dict's order, each
+    laid out as `ckpt.save` lays out a block; `save` itself writes only
+    the blocks that the header dims give, in their order."""
+    data = (run_dir / "checkpoint.bin").read_bytes()
+    buf = bytearray(data[: len(ckpt.MAGIC) + ckpt._HEADER.size])
+    buf += struct.pack("<I", len(blocks))
+    for name, arr in blocks.items():
+        raw = name.encode("utf-8")
+        buf += struct.pack("<H", len(raw)) + raw + struct.pack("<B", arr.ndim)
+        buf += struct.pack(f"<{arr.ndim}i", *arr.shape) + arr.astype("<f8").tobytes()
+    path.write_bytes(buf)
+
+
 def missing_a_block(run_dir, path):
-    state, header = ckpt.load(run_dir / "checkpoint.bin")
-    del state.lp.params["lp_b"]
-    ckpt.save(path, state, seed=header["seed"])
+    blocks = saved_blocks(run_dir)
+    del blocks["lp_b"]
+    write_blocks(run_dir, path, blocks)
 
 
 def reshaped(name, shape):
@@ -271,9 +315,9 @@ def header_d_zero(run_dir, path):
 
 
 def extra_block(run_dir, path):
-    state, header = ckpt.load(run_dir / "checkpoint.bin")
-    state.lp.params["foo"] = state.lp.params["lp_b"]
-    ckpt.save(path, state, seed=header["seed"])
+    blocks = saved_blocks(run_dir)
+    blocks["foo"] = blocks["lp_b"]
+    write_blocks(run_dir, path, blocks)
 
 
 def lp_b_twice(run_dir, path):
@@ -288,12 +332,10 @@ def lp_b_twice(run_dir, path):
 
 
 def renamed(name, new):
-    """Save the model's blocks in their order, block `name` as `new`."""
+    """Write the blocks in their order, block `name` as `new`."""
     def damage(run_dir, path):
-        state, header = ckpt.load(run_dir / "checkpoint.bin")
-        params = state.model.params
-        state.model.params = {new if k == name else k: params[k] for k in params}
-        ckpt.save(path, state, seed=header["seed"])
+        blocks = {new if k == name else k: v for k, v in saved_blocks(run_dir).items()}
+        write_blocks(run_dir, path, blocks)
     return damage
 
 
@@ -308,13 +350,11 @@ def last_block_named_lp_w(run_dir, path):
 
 
 def swapped(a, b):
-    """Save blocks a and b each in the other's place."""
+    """Write blocks a and b each in the other's place."""
     def damage(run_dir, path):
-        state, header = ckpt.load(run_dir / "checkpoint.bin")
-        params = state.model.params
-        order = [b if k == a else a if k == b else k for k in params]
-        state.model.params = {k: params[k] for k in order}
-        ckpt.save(path, state, seed=header["seed"])
+        blocks = saved_blocks(run_dir)
+        order = [b if k == a else a if k == b else k for k in blocks]
+        write_blocks(run_dir, path, {k: blocks[k] for k in order})
     return damage
 
 
@@ -432,13 +472,25 @@ def test_correlate_row_counts(tmp_path, capsys):
 
 def test_correlate_insufficient_corpus_exits_2(tmp_path, capsys):
     run_dir = train_once(tmp_path, capsys, "run")
-    code, _, err = run(
-        ["correlate", *TASK, "--ckpt", str(run_dir / "checkpoint.bin"),
-         "--subsets", "100", "--subset-size", "100", "--out", str(tmp_path)],
-        capsys,
-    )
-    assert code == 2
-    assert "too small" in err
+    assert run(["gen-data", *TASK, "--out", str(tmp_path / "data")], capsys)[0] == 0
+    for name in ("src", "tgt"):
+        (tmp_path / f"{name}.txt").write_text("")
+    # a file corpus of no pairs: the study, not the length check, refuses it
+    empty = ["--src", str(tmp_path / "src.txt"), "--tgt", str(tmp_path / "tgt.txt"),
+             "--vocab-file", str(tmp_path / "data" / "vocab.txt")]
+    for corpus_flags, flags, message in [
+        (TASK, ["--subsets", "100", "--subset-size", "100"],
+         "corpus of 120 too small for 100x100"),
+        (empty, [], "corpus of 0 too small for 30x25"),
+        (empty, ["--split-length"], "need at least two pairs to split"),
+    ]:
+        code, out, err = run(
+            ["correlate", *corpus_flags, "--ckpt", str(run_dir / "checkpoint.bin"),
+             *flags, "--out", str(tmp_path / "c")],
+            capsys,
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("flags, message", [

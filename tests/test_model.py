@@ -730,6 +730,24 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded.lp.params[k], state.lp.params[k])
 
 
+def test_checkpoint_of_reordered_params_round_trips(tmp_path):
+    rng = np.random.default_rng(4)
+    model, lp = NatModel.init(DIMS, rng), LengthPredictor.init(DIMS, rng)
+    ckpt.save(tmp_path / "a.bin", model_mod.TrainState(model, lp, step=3), seed=4)
+    # the same arrays, in the reverse of the shapes' order
+    reordered = model_mod.TrainState(
+        NatModel(DIMS, dict(reversed(model.params.items()))),
+        LengthPredictor(DIMS.dl_max, dict(reversed(lp.params.items()))),
+        step=3,
+    )
+    ckpt.save(tmp_path / "b.bin", reordered, seed=4)
+    assert (tmp_path / "b.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
+    loaded, _ = ckpt.load(tmp_path / "b.bin")
+    blocks = {**loaded.model.params, **loaded.lp.params}
+    for k, arr in {**model.params, **lp.params}.items():
+        assert np.array_equal(blocks[k], arr)
+
+
 def test_checkpoint_rejects_unknown_version(tmp_path):
     state = train(
         TrainConfig(schedule="ce", steps=5, batch_size=4, seed=2),

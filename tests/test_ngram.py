@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bonnat import ngram
 from bonnat.ngram import count_ngrams, ragged_supports, rank_windows
 
 sentences = st.lists(st.integers(min_value=0, max_value=6), max_size=15)
@@ -105,53 +104,31 @@ def test_ragged_supports_skip_short_and_empty_sentences():
     assert len(sent) == len(start) == len(counts) == 0
 
 
-def supports_and_ranking(monkeypatch, sents, n):
-    """`supports_as_bags`, and whether `ragged_supports` ranked the windows
-    with `rank_windows` instead of coding them directly."""
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return rank_windows(*args)
-
-    monkeypatch.setattr(ngram, "rank_windows", spy)
-    return supports_as_bags(sents, n), bool(calls)
-
-
 def random_stack(rng, ids, sentences=16):
     return [rng.choice(ids, size=rng.integers(0, 15)).tolist() for _ in range(sentences)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_ragged_supports_code_small_ids_directly(monkeypatch, n):
+@pytest.mark.parametrize("ids, fixed", [
+    ([0, 1, 2, 3, 4, 5, 6], []),
+    ([2**62 - 1, 2**62, 2**62 + 1], []),
+    # 0 and 2**62 alone make sentences * (id range)**n overflow int64
+    ([0, 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1], [[0, 2**62, 0, 2**62]]),
+], ids=["small", "near-2-62", "far-apart"])
+def test_ragged_supports_equal_count_ngrams(ids, fixed, n):
     rng = np.random.default_rng(n)
-    for ids in ([0, 1, 2, 3, 4, 5, 6], [2**62 - 1, 2**62, 2**62 + 1]):
-        sents = random_stack(rng, ids)
-        bags, ranked = supports_and_ranking(monkeypatch, sents, n)
-        assert not ranked
-        assert bags == [list(count_ngrams(sent, n).items()) for sent in sents]
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_ragged_supports_rank_ids_too_far_apart_to_code(monkeypatch, n):
-    rng = np.random.default_rng(10 + n)
-    ids = [0, 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1]
-    # 0 and 2**62 alone make 8 * k**n overflow int64 at every order
-    sents = [[0, 2**62, 0, 2**62]] + random_stack(rng, ids, 7)
-    bags, ranked = supports_and_ranking(monkeypatch, sents, n)
-    assert ranked
-    assert bags == [list(count_ngrams(sent, n).items()) for sent in sents]
+    sents = fixed + random_stack(rng, ids, 16 - len(fixed))
+    assert supports_as_bags(sents, n) == [list(count_ngrams(s, n).items()) for s in sents]
 
 
 @pytest.mark.parametrize("low, high", [(5, 7), (0, 2**63 - 1)])
 @pytest.mark.parametrize("stack", [
     [], [[]], [[], []], [[0]], [[0], [], [1]], [[0, 1], [0]], [[0, 1, 0], [], [1, 1]],
 ])
-def test_ragged_supports_of_empty_and_short_stacks(monkeypatch, low, high, stack):
+def test_ragged_supports_of_empty_and_short_stacks(low, high, stack):
     sents = [[(low, high)[t] for t in sent] for sent in stack]
     tokens = np.array([t for sent in sents for t in sent], dtype=np.int64)
     for n in (1, 2, 3):
         sent, start, counts = ragged_supports(tokens, [len(s) for s in sents], n)
         assert (sent.dtype, start.dtype, counts.dtype) == (np.int64, np.int64, float)
-        bags, _ = supports_and_ranking(monkeypatch, sents, n)
-        assert bags == [list(count_ngrams(s, n).items()) for s in sents]
+        assert supports_as_bags(sents, n) == [list(count_ngrams(s, n).items()) for s in sents]
